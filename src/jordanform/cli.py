@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -77,14 +78,13 @@ def parse_matrix_text(text: str, source: str = "<input>") -> MatrixDocument:
         if not stripped or stripped.startswith("#"):
             continue
         row = []
-        column = 1
-        for token in line.split():
+        for match in re.finditer(r"\S+", line):
+            token = match.group()
             try:
                 row.append(parse_rational(token))
             except ValueError:
-                column = line.index(token) + 1
                 raise ParseError(
-                    f"bad rational token {token!r}", source, lineno, column
+                    f"bad rational token {token!r}", source, lineno, match.start() + 1
                 ) from None
         if width is None:
             width = len(row)
@@ -133,7 +133,7 @@ def parse_matrix_json(text: str, source: str = "<input>") -> MatrixDocument:
 
 def format_matrix_json(m: Mat) -> str:
     """Serialize a matrix in the JSON input format (rationals as strings)."""
-    return json.dumps({"matrix": [[str(x) for x in m.row(i)] for i in range(m.nrows)]})
+    return json.dumps({"matrix": _matrix_rows(m)})
 
 
 def _load_document(path: str, fmt: str | None) -> MatrixDocument:
@@ -304,10 +304,7 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IrrationalSpectrum as exc:

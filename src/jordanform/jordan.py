@@ -12,7 +12,6 @@ linear factors are out of scope and reported via IrrationalSpectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,27 +143,34 @@ def restrict(a: Mat, basis: list[Vector] | list) -> Mat:
         raise NotInvariant("subspace is not invariant under the operator") from None
 
 
-def jordan_form(a: Mat) -> JordanDecomposition:
-    """Canonical Jordan decomposition of a matrix with rational spectrum."""
-    spectrum = eigenvalues(a)
-    n = a.nrows
+def _nilpotent_parts(a: Mat, spectrum: Spectrum):
+    """Per eigenvalue, ascending: lambda, the generalized eigenspace basis B
+    and the nilpotent operator (A - lambda I) restricted to span B."""
+    for lam, mult in spectrum.pairs:
+        basis = generalized_eigenspace(a, lam, mult)
+        yield lam, basis, restrict(a, basis) - lam * Mat.identity(mult)
+
+
+def _decompose(a: Mat, spectrum: Spectrum) -> JordanDecomposition:
+    """``jordan_form`` of A, given its already computed spectrum."""
     columns: list[Vector] = []
     j_blocks: list[Mat] = []
     spectrum_blocks = []
-    for lam, mult in spectrum.pairs:
-        basis = generalized_eigenspace(a, lam, mult)
-        stacked = Mat.from_columns(basis)
-        restriction = restrict(a, basis)
-        nil = restriction - lam * Mat.identity(mult)
+    for lam, basis, nil in _nilpotent_parts(a, spectrum):
         decomposition = block_generators(nil)
-        p_local, j_local = chains_to_basis(nil, decomposition)
-        columns.extend((stacked * p_local).columns())
-        j_blocks.append(j_local + lam * Mat.identity(mult))
+        p_local, _ = chains_to_basis(nil, decomposition)
+        columns.extend((Mat.from_columns(basis) * p_local).columns())
+        j_blocks.extend(jordan_block(lam, h) for h in decomposition.heights)
         spectrum_blocks.append((lam, decomposition.heights))
-    p = Mat.from_columns(columns, nrows=n)
+    p = Mat.from_columns(columns, nrows=a.nrows)
     j = block_diag(j_blocks)
     assert a * p == p * j
     return JordanDecomposition(spectrum_blocks=tuple(spectrum_blocks), j=j, p=p)
+
+
+def jordan_form(a: Mat) -> JordanDecomposition:
+    """Canonical Jordan decomposition of a matrix with rational spectrum."""
+    return _decompose(a, eigenvalues(a))
 
 
 def jordan_blocks(j: Mat) -> list[tuple[Fraction, int]] | None:
@@ -232,10 +238,15 @@ def similar(a: Mat, b: Mat) -> Mat | None:
 
     Two matrices with rational spectra are similar exactly when their
     canonical decompositions carry identical block data; the witness is
-    then P_A P_B^-1.
+    then P_A P_B^-1. Different spectra are rejected before any eigenspace
+    is computed.
     """
-    da = jordan_form(a)
-    db = jordan_form(b)
+    spectrum_a = eigenvalues(a)
+    spectrum_b = eigenvalues(b)
+    if spectrum_a != spectrum_b:
+        return None
+    da = _decompose(a, spectrum_a)
+    db = _decompose(b, spectrum_b)
     if da.spectrum_blocks != db.spectrum_blocks:
         return None
     return da.p * db.p.inverse()
@@ -249,17 +260,15 @@ def matrix_exp(a: Mat) -> ExpMatrix:
     t^k (A - lambda I)^k / k!; conjugating back by the eigenbasis gives the
     global coefficient matrix for e^(lambda t).
     """
-    spectrum = eigenvalues(a)
-    n = a.nrows
-    bases = [generalized_eigenspace(a, lam, mult) for lam, mult in spectrum.pairs]
-    full = Mat.from_columns([v for basis in bases for v in basis], nrows=n)
+    parts = list(_nilpotent_parts(a, eigenvalues(a)))
+    full = Mat.from_columns([v for _, basis, _ in parts for v in basis], nrows=a.nrows)
     full_inv = full.inverse()
     terms = []
     offset = 0
-    for (lam, mult), basis in zip(spectrum.pairs, bases):
+    for lam, basis, nil in parts:
+        mult = len(basis)
         stacked = Mat.from_columns(basis)
         rows_back = Mat([full_inv.row(i) for i in range(offset, offset + mult)])
-        nil = restrict(a, basis) - lam * Mat.identity(mult)
         series = []
         power = Mat.identity(mult)
         factorial = 1
@@ -274,43 +283,9 @@ def matrix_exp(a: Mat) -> ExpMatrix:
     return ExpMatrix(terms=tuple(terms))
 
 
-def matrix_exp_via_jordan(a: Mat) -> ExpMatrix:
-    """exp(tA) through P exp(tJ) P^-1; cross-check for ``matrix_exp``.
-
-    Produces the same ExpMatrix value as the eigenbasis route, which the
-    test suite asserts.
-    """
-    dec = jordan_form(a)
-    p_inv = dec.p.inverse()
-    n = a.nrows
-    offsets = []
-    position = 0
-    for lam, sizes in dec.spectrum_blocks:
-        starts = []
-        for size in sizes:
-            starts.append((position, size))
-            position += size
-        offsets.append((lam, starts))
-    terms = []
-    for lam, starts in offsets:
-        largest = max(size for _, size in starts)
-        series = []
-        for k in range(largest):
-            selector = [[Fraction(0)] * n for _ in range(n)]
-            weight = Fraction(1, math.factorial(k))
-            for start, size in starts:
-                for r in range(size - k):
-                    selector[start + r][start + r + k] = weight
-            series.append(dec.p * Mat(selector, ncols=n) * p_inv)
-        terms.append((lam, _series_to_poly_matrix(series)))
-    return ExpMatrix(terms=tuple(terms))
-
-
 def _series_to_poly_matrix(series: list[Mat]) -> tuple[tuple[Poly, ...], ...]:
     nrows, ncols = series[0].nrows, series[0].ncols
     return tuple(
         tuple(Poly([m[i, j] for m in series]) for j in range(ncols))
         for i in range(nrows)
     )
-
-

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .rationals import _coerce
+
 Vector = tuple[Fraction, ...]
 
 
@@ -21,10 +23,6 @@ class NoSolution(Exception):
 
 class RankDeficient(Exception):
     """Columns are linearly dependent where independence is required."""
-
-
-def _coerce(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -178,8 +176,8 @@ class Mat:
         self._require_square()
         if k < 0:
             raise ValueError("negative matrix power")
-        out = Mat.identity(self.nrows)
-        for _ in range(k):
+        out = Mat.identity(self.nrows) if k == 0 else self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -345,35 +343,16 @@ def extend_independent(
 ) -> list[Vector]:
     """Greedy completion of ``existing`` from an ordered candidate list.
 
-    Scans candidates in order and keeps each one that strictly increases the
-    rank of existing plus the kept set; returns the kept vectors. The scan
-    order makes the result deterministic.
+    Keeps each candidate that strictly increases the rank of existing plus
+    the candidates before it, and returns the kept vectors. These are the
+    candidates at pivot columns of the RREF of all vectors stacked as
+    columns, so the result is deterministic.
     """
-    reduced: list[tuple[int, list[Fraction]]] = []
-
-    def residue(vec: Sequence[Fraction]):
-        v = list(vec)
-        for pivot, row in reduced:
-            f = v[pivot]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        for i, x in enumerate(v):
-            if x:
-                return i, [y / x for y in v]
-        return None
-
-    dimension = None
-    kept: list[Vector] = []
-    for group, keep in ((existing, False), (candidates, True)):
-        for raw in group:
-            vec = as_vector(raw)
-            if dimension is None:
-                dimension = len(vec)
-            elif len(vec) != dimension:
-                raise ValueError("vectors must share one dimension")
-            hit = residue(vec)
-            if hit is not None:
-                reduced.append(hit)
-                if keep:
-                    kept.append(vec)
-    return kept
+    existing = [as_vector(v) for v in existing]
+    vectors = existing + [as_vector(v) for v in candidates]
+    if not vectors:
+        return []
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise ValueError("vectors must share one dimension")
+    _, pivots = Mat.from_columns(vectors).rref()
+    return [vectors[p] for p in pivots if p >= len(existing)]

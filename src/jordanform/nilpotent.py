@@ -10,9 +10,7 @@ identical decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .matrices import Mat, Vector, as_vector, block_diag, extend_independent, solve_right
+from .matrices import Mat, Vector, as_vector, block_diag, extend_independent, jordan_block
 
 
 class NotNilpotent(Exception):
@@ -80,20 +78,40 @@ def _require_operator(a: Mat):
         raise ValueError("operator must act on a space of dimension >= 1")
 
 
-def _powers_until_zero(a: Mat) -> list[Mat]:
-    """[I, A, A^2, ..., A^N] with A^N = 0; raises NotNilpotent past dim."""
+def _kernel_tower(a: Mat) -> list[list[Vector]]:
+    """Canonical bases of N(A^0), N(A^1), ..., N(A^N) with A^N = 0.
+
+    Each power is row-reduced once; raises NotNilpotent past the dimension.
+    """
     _require_operator(a)
-    powers = [Mat.identity(a.nrows)]
-    while not powers[-1].is_zero:
-        if len(powers) > a.nrows:
+    kernels: list[list[Vector]] = [[]]
+    power = a
+    while True:
+        kernels.append(power.nullspace_basis())
+        if len(kernels[-1]) == a.nrows:
+            return kernels
+        if len(kernels) > a.nrows:
             raise NotNilpotent(f"A^{a.nrows} is nonzero")
-        powers.append(powers[-1] * a)
-    return powers
+        power = power * a
+
+
+def _d_values(a: Mat, kernels: list[list[Vector]]) -> tuple[int, ...]:
+    """d_i = rank(A^i) - rank(A^(i+1)) for i = 0..N, ranks read off the tower."""
+    ranks = [a.nrows - len(k) for k in kernels] + [0]
+    return tuple(r - s for r, s in zip(ranks, ranks[1:]))
+
+
+def _chain(a: Mat, g, h: int) -> list[Vector]:
+    """The chain ``g, A g, ..., A^(h-1) g``."""
+    vectors = [as_vector(g)]
+    for _ in range(h - 1):
+        vectors.append(a.apply(vectors[-1]))
+    return vectors
 
 
 def nilpotency_index(a: Mat) -> int:
     """Smallest N >= 1 with A^N = 0 (N = 1 for the zero operator)."""
-    return max(len(_powers_until_zero(a)) - 1, 1)
+    return len(_kernel_tower(a)) - 1
 
 
 def height(a: Mat, v) -> int:
@@ -113,34 +131,8 @@ def height(a: Mat, v) -> int:
 
 def d_sequence(a: Mat) -> DSequence:
     """Rank-difference path: d_i = rank(A^i) - rank(A^(i+1)), i = 0..N."""
-    powers = _powers_until_zero(a)
-    ranks = [p.rank() for p in powers] + [0]
-    n = max(len(powers) - 1, 1)
-    values = tuple(ranks[i] - ranks[i + 1] for i in range(n + 1))
-    return DSequence(values=values, index_of_nilpotency=n)
-
-
-def d_sequence_restricted(a: Mat) -> tuple[int, ...]:
-    """Direct path: nullity of A restricted to a column basis of each A^i.
-
-    Independent of the rank-difference computation in ``d_sequence``; the
-    two must agree on every nilpotent input.
-    """
-    powers = _powers_until_zero(a)
-    n = max(len(powers) - 1, 1)
-    out = []
-    for i in range(n + 1):
-        power = powers[min(i, len(powers) - 1)]
-        _, pivots = power.rref()
-        if not pivots:
-            out.append(0)
-            continue
-        basis = [power.col(c) for c in pivots]
-        stacked = Mat.from_columns(basis)
-        image = Mat.from_columns([a.apply(v) for v in basis], nrows=a.nrows)
-        restriction = solve_right(stacked, image)
-        out.append(len(restriction.nullspace_basis()))
-    return tuple(out)
+    kernels = _kernel_tower(a)
+    return DSequence(values=_d_values(a, kernels), index_of_nilpotency=len(kernels) - 1)
 
 
 def block_sizes(a: Mat) -> tuple[int, ...]:
@@ -164,30 +156,24 @@ def block_generators(a: Mat) -> CyclicDecomposition:
     Representatives are chosen by ``extend_independent`` over the canonical
     kernel bases, which makes the output deterministic.
     """
-    powers = _powers_until_zero(a)
-    ranks = [p.rank() for p in powers] + [0]
-    n = max(len(powers) - 1, 1)
-    d = [ranks[i] - ranks[i + 1] for i in range(n + 1)]
-    kernel_bases = [powers[min(i, len(powers) - 1)].nullspace_basis() for i in range(n + 1)]
+    kernels = _kernel_tower(a)
+    d = _d_values(a, kernels)
 
     chains: list[tuple[Vector, int]] = []
     chain_vectors: list[list[Vector]] = []
-    for size in range(n, 0, -1):
+    for size in range(len(kernels) - 1, 0, -1):
         count = d[size - 1] - d[size]
         if count == 0:
             continue
-        existing = list(kernel_bases[size - 1])
+        existing = list(kernels[size - 1])
         for vectors in chain_vectors:
             # Tail of each taller chain that already lies in N(A^size).
             existing.extend(vectors[len(vectors) - size:])
-        new_generators = extend_independent(existing, kernel_bases[size])
+        new_generators = extend_independent(existing, kernels[size])
         assert len(new_generators) == count
         for g in new_generators:
-            vectors = [g]
-            for _ in range(size - 1):
-                vectors.append(a.apply(vectors[-1]))
             chains.append((g, size))
-            chain_vectors.append(vectors)
+            chain_vectors.append(_chain(a, g, size))
     return CyclicDecomposition(chains=tuple(chains))
 
 
@@ -201,16 +187,14 @@ def chains_to_basis(a: Mat, dec: CyclicDecomposition) -> tuple[Mat, Mat]:
     columns: list[Vector] = []
     blocks: list[Mat] = []
     for g, h in dec.chains:
-        vectors = [as_vector(g)]
-        for _ in range(h - 1):
-            vectors.append(a.apply(vectors[-1]))
+        vectors = _chain(a, g, h)
         last = vectors[-1]
         if all(x == 0 for x in last):
             raise InvalidDecomposition(f"recorded height {h} is too large")
         if any(x != 0 for x in a.apply(last)):
             raise InvalidDecomposition(f"recorded height {h} is too small")
         columns.extend(reversed(vectors))
-        blocks.append(_shift_block(h))
+        blocks.append(jordan_block(0, h))
     if len(columns) != a.nrows:
         raise InvalidDecomposition(
             f"chain vectors span {len(columns)} dimensions, expected {a.nrows}"
@@ -234,11 +218,7 @@ def validate_generators(a: Mat, generators) -> tuple[int, ...]:
     for g in generators:
         h = height(a, g)
         heights.append(h)
-        w = as_vector(g)
-        all_vectors.append(w)
-        for _ in range(h - 1):
-            w = a.apply(w)
-            all_vectors.append(w)
+        all_vectors.extend(_chain(a, g, h))
     if len(all_vectors) != a.nrows:
         raise NotABasis(
             f"chain vectors span {len(all_vectors)} dimensions, expected {a.nrows}"
@@ -247,10 +227,3 @@ def validate_generators(a: Mat, generators) -> tuple[int, ...]:
         raise NotABasis("chain vectors are linearly dependent")
     return tuple(sorted(heights, reverse=True))
 
-
-def _shift_block(size: int) -> Mat:
-    zero = Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(size - 1):
-        rows[i][i + 1] = Fraction(1)
-    return Mat(rows, ncols=size)

@@ -6,9 +6,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-
-def _coerce(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+from .rationals import _coerce
 
 
 class Poly:

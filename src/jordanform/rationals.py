@@ -20,6 +20,11 @@ Rational = Fraction
 _LITERAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
+def _coerce(value) -> Fraction:
+    """``value`` as a Fraction; Fractions pass through unchanged."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``a`` or ``a/b`` (optional leading ``-``) into a Fraction.
 

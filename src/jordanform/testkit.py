@@ -1,18 +1,23 @@
 """Independent oracles and deterministic random instance generators.
 
-The block-size oracle here rederives structure purely from ranks of powers,
-so it shares nothing with the chain and quotient logic it is used to check.
-All randomness flows from explicit seeds through local generators; no
+The oracles here rederive results by routes the library itself does not
+take: block sizes purely from ranks of powers, the d-sequence from
+restrictions to the ranges of powers, and exp(tA) through P exp(tJ) P^-1.
+They share nothing with the chain and quotient logic they are used to
+check. All randomness flows from explicit seeds through local generators; no
 global state is touched.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Mat, block_diag, jordan_block
+from .jordan import ExpMatrix, _series_to_poly_matrix, jordan_form
+from .matrices import Mat, block_diag, jordan_block, solve_right
+from .nilpotent import NotNilpotent
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,64 @@ def weyr_oracle(a: Mat, eigenvalue) -> tuple[int, ...]:
         count = padded[i - 1] - 2 * padded[i] + padded[i + 1]
         sizes.extend([i] * count)
     return tuple(sizes)
+
+
+def d_sequence_restricted(a: Mat) -> tuple[int, ...]:
+    """Direct path: nullity of A restricted to a column basis of each A^i.
+
+    Independent of the rank-difference computation in ``d_sequence``; the
+    two must agree on every nilpotent input.
+    """
+    a._require_square()
+    powers = [Mat.identity(a.nrows)]
+    while not powers[-1].is_zero:
+        if len(powers) > a.nrows:
+            raise NotNilpotent(f"A^{a.nrows} is nonzero")
+        powers.append(powers[-1] * a)
+    out = []
+    for power in powers:
+        _, pivots = power.rref()
+        if not pivots:
+            out.append(0)
+            continue
+        basis = [power.col(c) for c in pivots]
+        stacked = Mat.from_columns(basis)
+        image = Mat.from_columns([a.apply(v) for v in basis], nrows=a.nrows)
+        restriction = solve_right(stacked, image)
+        out.append(len(restriction.nullspace_basis()))
+    return tuple(out)
+
+
+def matrix_exp_via_jordan(a: Mat) -> ExpMatrix:
+    """exp(tA) through P exp(tJ) P^-1; cross-check for ``matrix_exp``.
+
+    Produces the same ExpMatrix value as the eigenbasis route, which the
+    test suite asserts.
+    """
+    dec = jordan_form(a)
+    p_inv = dec.p.inverse()
+    n = a.nrows
+    offsets = []
+    position = 0
+    for lam, sizes in dec.spectrum_blocks:
+        starts = []
+        for size in sizes:
+            starts.append((position, size))
+            position += size
+        offsets.append((lam, starts))
+    terms = []
+    for lam, starts in offsets:
+        largest = max(size for _, size in starts)
+        series = []
+        for k in range(largest):
+            selector = [[Fraction(0)] * n for _ in range(n)]
+            weight = Fraction(1, math.factorial(k))
+            for start, size in starts:
+                for r in range(size - k):
+                    selector[start + r][start + r + k] = weight
+            series.append(dec.p * Mat(selector, ncols=n) * p_inv)
+        terms.append((lam, _series_to_poly_matrix(series)))
+    return ExpMatrix(terms=tuple(terms))
 
 
 def build_jordan_matrix(spec: BlockSpec) -> Mat:

@@ -23,7 +23,6 @@ from jordanform import (
     jordan_blocks,
     jordan_form,
     matrix_exp,
-    matrix_exp_via_jordan,
     nilpotency_index,
     restrict,
     similar,
@@ -33,6 +32,7 @@ from jordanform import (
 from jordanform.cli import run
 from jordanform.testkit import (
     BlockSpec,
+    matrix_exp_via_jordan,
     random_block_spec,
     random_similar,
     weyr_oracle,

@@ -44,6 +44,12 @@ class TestParseText:
             parse_matrix_text("1 2\n3 x\n", source="m.txt")
         assert "m.txt:2:3" in str(info.value)
 
+    def test_bad_token_position_is_its_own_offset(self):
+        # The bad token "/2" also occurs inside the earlier token "1/2".
+        with pytest.raises(ParseError) as info:
+            parse_matrix_text("1/2 /2\n")
+        assert str(info.value) == "<input>:1:5: bad rational token '/2'"
+
 
 class TestParseJson:
     def test_integer_entries(self):

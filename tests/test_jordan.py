@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import jordanform.jordan
 from jordanform import (
     DimensionMismatch,
     IrrationalSpectrum,
@@ -18,12 +19,17 @@ from jordanform import (
     jordan_form,
     jordan_structure,
     matrix_exp,
-    matrix_exp_via_jordan,
     restrict,
     similar,
     validate_decomposition,
 )
-from jordanform.testkit import build_jordan_matrix, BlockSpec, random_block_spec, random_similar
+from jordanform.testkit import (
+    build_jordan_matrix,
+    BlockSpec,
+    matrix_exp_via_jordan,
+    random_block_spec,
+    random_similar,
+)
 
 from helpers import (
     CONJUGATE_5X5_A,
@@ -180,6 +186,13 @@ class TestSimilar:
 
     def test_different_block_structure(self):
         assert similar(Mat([[0, 1], [0, 0]]), Mat.zeros(2, 2)) is None
+
+    def test_different_spectra_rejected_before_decomposing(self, monkeypatch):
+        def forbidden(a):
+            raise AssertionError("block_generators called on a spectrum mismatch")
+
+        monkeypatch.setattr(jordanform.jordan, "block_generators", forbidden)
+        assert similar(MIXED_4X4, Mat.identity(4)) is None
 
     def test_transitive_with_witnesses(self):
         spec = BlockSpec(pairs=((Fraction(2), (2, 1)), (Fraction(4), (1,))))

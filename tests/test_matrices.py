@@ -33,6 +33,14 @@ def matrices(draw, max_rows=4, max_cols=4, square=False):
     return Mat(rows)
 
 
+@st.composite
+def vector_lists(draw, max_dim=4):
+    """Two lists of vectors, ``existing`` and ``candidates``, of one dimension."""
+    dim = draw(st.integers(1, max_dim))
+    vector = st.tuples(*[small_rationals] * dim)
+    return dim, draw(st.lists(vector, max_size=3)), draw(st.lists(vector, max_size=5))
+
+
 class TestRref:
     def test_identity_is_fixed(self):
         m = Mat.identity(3)
@@ -132,6 +140,10 @@ class TestPowers:
         m = Mat([[5, 1], [2, 3]])
         assert m ** 0 == Mat.identity(2)
 
+    def test_first_power(self):
+        m = Mat([[5, 1], [2, 3]])
+        assert m ** 1 == m
+
     def test_shift_power_vanishes(self):
         assert jordan_block(0, 5) ** 5 == Mat.zeros(5, 5)
 
@@ -154,6 +166,19 @@ class TestExtendIndependent:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             extend_independent([unit(2, 0)], [unit(3, 0)])
+
+    @given(data=vector_lists())
+    def test_keeps_exactly_the_rank_raising_candidates(self, data):
+        dim, existing, candidates = data
+
+        def rank(vectors):
+            return Mat.from_columns(vectors, nrows=dim).rank()
+
+        expected = [
+            c for i, c in enumerate(candidates)
+            if rank(existing + candidates[:i + 1]) > rank(existing + candidates[:i])
+        ]
+        assert extend_independent(existing, candidates) == expected
 
 
 @given(m=matrices(square=True))

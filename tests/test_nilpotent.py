@@ -14,13 +14,12 @@ from jordanform import (
     block_sizes,
     chains_to_basis,
     d_sequence,
-    d_sequence_restricted,
     height,
     jordan_block,
     nilpotency_index,
     validate_generators,
 )
-from jordanform.testkit import weyr_oracle
+from jordanform.testkit import d_sequence_restricted, weyr_oracle
 
 from helpers import (
     NILPOTENT_4X4,
