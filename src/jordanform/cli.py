@@ -28,7 +28,7 @@ from .jordan import (
 )
 from .matrices import Mat
 from .nilpotent import block_sizes, d_sequence
-from .polynomials import Poly
+from .polynomials import divide_out
 from .rationals import parse_rational
 
 EXIT_OK = 0
@@ -192,12 +192,7 @@ def _cmd_blocks(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    p = char_poly(a)
-    mult = 0
-    factor = Poly([-lam, 1])
-    while p.degree >= 1 and p(lam) == 0:
-        p = divmod(p, factor)[0]
-        mult += 1
+    _, mult = divide_out(char_poly(a), lam)
     if mult == 0:
         raise ShapeError(f"{lam} is not an eigenvalue")
     basis = generalized_eigenspace(a, lam, mult)

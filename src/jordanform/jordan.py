@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import Mat, NoSolution, Vector, block_diag, jordan_block, solve_right
-from .nilpotent import block_generators, chains_to_basis
+from .nilpotent import _kernel_tower, block_generators, chains_to_basis
 from .polynomials import Poly, rational_roots
 
 
@@ -115,14 +115,13 @@ def eigenvalues(a: Mat) -> Spectrum:
 
 
 def generalized_eigenspace(a: Mat, eigenvalue, multiplicity: int) -> list[Vector]:
-    """Canonical kernel basis of (A - lambda I)^multiplicity.
-
-    The dimension must equal the algebraic multiplicity; anything else is
-    reported as DimensionMismatch.
+    """Canonical kernel basis of (A - lambda I)^multiplicity; DimensionMismatch
+    unless it has dimension ``multiplicity``. With the algebraic multiplicity
+    this is the generalized eigenspace, but a smaller value can pass too: one
+    3x3 block at lambda with multiplicity 2 gives the 2-dimensional kernel.
     """
     lam = Fraction(eigenvalue)
-    shifted = a - lam * Mat.identity(a.nrows)
-    basis = (shifted ** multiplicity).nullspace_basis()
+    basis = _kernel_tower(a - lam * Mat.identity(a.nrows), multiplicity)[-1]
     if len(basis) != multiplicity:
         raise DimensionMismatch(
             f"eigenspace for {lam} has dimension {len(basis)}, expected {multiplicity}"

@@ -78,27 +78,35 @@ def _require_operator(a: Mat):
         raise ValueError("operator must act on a space of dimension >= 1")
 
 
-def _kernel_tower(a: Mat) -> list[list[Vector]]:
-    """Canonical bases of N(A^0), N(A^1), ..., N(A^N) with A^N = 0.
+def _kernel_tower(a: Mat, limit: int) -> list[list[Vector]]:
+    """Canonical bases of N(A^0), ..., N(A^k), stopping at the first k where
+    N(A^k) is the whole space, equals N(A^(k-1)) (then so does every later
+    kernel), or k = limit.
 
-    Each power is row-reduced once; raises NotNilpotent past the dimension.
+    Each step does one elimination and multiplies only the nonzero RREF rows
+    by A. They span the row space of A^k, so their product has the row space,
+    hence the RREF and the canonical kernel basis, of A^(k+1).
     """
-    _require_operator(a)
     kernels: list[list[Vector]] = [[]]
-    power = a
-    while True:
-        kernels.append(power.nullspace_basis())
-        if len(kernels[-1]) == a.nrows:
-            return kernels
-        if len(kernels) > a.nrows:
-            raise NotNilpotent(f"A^{a.nrows} is nonzero")
-        power = power * a
+    rows = a
+    for k in range(1, limit + 1):
+        reduced, pivots = rows.rref()
+        rows = Mat([reduced.row(i) for i in range(len(pivots))], ncols=a.ncols)
+        kernels.append(rows.nullspace_basis())
+        if k == limit or len(kernels[-1]) in (a.nrows, len(kernels[-2])):
+            break
+        rows = rows * a
+    return kernels
 
 
-def _d_values(a: Mat, kernels: list[list[Vector]]) -> tuple[int, ...]:
-    """d_i = rank(A^i) - rank(A^(i+1)) for i = 0..N, ranks read off the tower."""
+def _d_values(a: Mat) -> tuple[list[list[Vector]], tuple[int, ...]]:
+    """Kernel tower of nilpotent A and d_i = rank(A^i) - rank(A^(i+1)), i = 0..N."""
+    _require_operator(a)
+    kernels = _kernel_tower(a, a.nrows)
+    if len(kernels[-1]) != a.nrows:
+        raise NotNilpotent(f"A^{a.nrows} is nonzero")
     ranks = [a.nrows - len(k) for k in kernels] + [0]
-    return tuple(r - s for r, s in zip(ranks, ranks[1:]))
+    return kernels, tuple(r - s for r, s in zip(ranks, ranks[1:]))
 
 
 def _chain(a: Mat, g, h: int) -> list[Vector]:
@@ -111,7 +119,7 @@ def _chain(a: Mat, g, h: int) -> list[Vector]:
 
 def nilpotency_index(a: Mat) -> int:
     """Smallest N >= 1 with A^N = 0 (N = 1 for the zero operator)."""
-    return len(_kernel_tower(a)) - 1
+    return d_sequence(a).index_of_nilpotency
 
 
 def height(a: Mat, v) -> int:
@@ -131,8 +139,8 @@ def height(a: Mat, v) -> int:
 
 def d_sequence(a: Mat) -> DSequence:
     """Rank-difference path: d_i = rank(A^i) - rank(A^(i+1)), i = 0..N."""
-    kernels = _kernel_tower(a)
-    return DSequence(values=_d_values(a, kernels), index_of_nilpotency=len(kernels) - 1)
+    kernels, d = _d_values(a)
+    return DSequence(values=d, index_of_nilpotency=len(kernels) - 1)
 
 
 def block_sizes(a: Mat) -> tuple[int, ...]:
@@ -156,8 +164,7 @@ def block_generators(a: Mat) -> CyclicDecomposition:
     Representatives are chosen by ``extend_independent`` over the canonical
     kernel bases, which makes the output deterministic.
     """
-    kernels = _kernel_tower(a)
-    d = _d_values(a, kernels)
+    kernels, d = _d_values(a)
 
     chains: list[tuple[Vector, int]] = []
     chain_vectors: list[list[Vector]] = []

@@ -164,6 +164,17 @@ class Poly:
 X = Poly((0, 1))
 
 
+def divide_out(p: Poly, r) -> tuple[Poly, int]:
+    """``(p / (x - r)^m, m)`` with m the multiplicity of r as a root of p."""
+    r = _coerce(r)
+    m = 0
+    while p.degree >= 1 and p(r) == 0:
+        p, rem = divmod(p, Poly([-r, 1]))
+        assert rem.is_zero
+        m += 1
+    return p, m
+
+
 def _divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1, ascending."""
     small, large = [], []
@@ -190,15 +201,9 @@ def rational_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
         raise ValueError("rational_roots requires a monic polynomial of degree >= 1")
 
     roots: dict[Fraction, int] = {}
-    work = p
 
     # Powers of x first: the divisor rule needs a nonzero constant term.
-    zero_mult = 0
-    while work.degree >= 1 and work.coeffs[0] == 0:
-        work = Poly(work.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots[Fraction(0)] = zero_mult
+    work, roots[Fraction(0)] = divide_out(p, 0)
 
     if work.degree >= 1:
         den = math.lcm(*(c.denominator for c in work.coeffs))
@@ -212,14 +217,8 @@ def rational_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
             }
         )
         for r in candidates:
-            mult = 0
-            while work.degree >= 1 and work(r) == 0:
-                work, rem = divmod(work, Poly([-r, 1]))
-                assert rem.is_zero
-                mult += 1
-            if mult:
-                roots[r] = mult
+            work, roots[r] = divide_out(work, r)
             if work.degree < 1:
                 break
 
-    return dict(sorted(roots.items())), work
+    return {r: m for r, m in sorted(roots.items()) if m}, work

@@ -161,6 +161,13 @@ class TestBlocksCommand:
     def test_bad_eigenvalue_token(self, mixed_file, capsys):
         assert run(["blocks", mixed_file, "--eigenvalue", "2.5"]) == 2
 
+    def test_rational_eigenvalue_beside_an_irrational_pair(self, tmp_path, capsys):
+        # The spectrum of rotation (+) [2] is not all rational, so `blocks`
+        # must read the multiplicity of 2 without computing every eigenvalue.
+        path = write_matrix(tmp_path / "r.txt", Mat([[0, -1, 0], [1, 0, 0], [0, 0, 2]]))
+        assert run(["blocks", path, "--eigenvalue", "2"]) == 0
+        assert capsys.readouterr().out == "d-sequence: 1 0\nblock sizes: 1\n"
+
 
 class TestSimilarCommand:
     def test_similar_pair(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jordanform.jordan
 from jordanform import (
@@ -12,9 +14,11 @@ from jordanform import (
     Poly,
     Spectrum,
     X,
+    block_diag,
     char_poly,
     eigenvalues,
     generalized_eigenspace,
+    jordan_block,
     jordan_blocks,
     jordan_form,
     jordan_structure,
@@ -102,6 +106,43 @@ class TestGeneralizedEigenspace:
     def test_wrong_multiplicity_detected(self):
         with pytest.raises(DimensionMismatch):
             generalized_eigenspace(MIXED_4X4, 2, 2)
+
+    def test_smaller_multiplicity_can_pass(self):
+        assert generalized_eigenspace(jordan_block(5, 3), 5, 2) == [unit(3, 0), unit(3, 1)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_matches_the_kernel_of_the_power(self, seed):
+        a, _ = random_similar(random_block_spec(seed, max_dim=5), seed)
+        n = a.nrows
+        values = [lam for lam, _ in eigenvalues(a).pairs]
+        for lam in values + [max(values) + 1]:
+            shifted = a - lam * Mat.identity(n)
+            for m in range(n + 2):
+                expected = (shifted ** m).nullspace_basis()
+                if len(expected) == m:
+                    assert generalized_eigenspace(a, lam, m) == expected
+                else:
+                    with pytest.raises(DimensionMismatch):
+                        generalized_eigenspace(a, lam, m)
+
+    def test_matrix_products_stop_with_the_kernels(self, monkeypatch):
+        products = []
+        multiply = Mat.__mul__
+
+        def counting(left, right):
+            if isinstance(right, Mat):
+                products.append(right)
+            return multiply(left, right)
+
+        monkeypatch.setattr(Mat, "__mul__", counting)
+        diagonalizable = block_diag([jordan_block(2, 1)] * 4 + [jordan_block(7, 1)])
+        assert len(generalized_eigenspace(diagonalizable, 2, 4)) == 4
+        assert len(products) == 1
+        for m in range(1, 6):
+            products.clear()
+            assert len(generalized_eigenspace(jordan_block(3, m), 3, m)) == m
+            assert len(products) == m - 1
 
 
 class TestRestrict:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jordanform import Poly, X, rational_roots
+from jordanform.polynomials import divide_out
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -55,6 +56,18 @@ class TestRationalRoots:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             rational_roots(Poly([1]))
+
+
+class TestDivideOut:
+    def test_triple_root(self):
+        assert divide_out(linear(2) ** 3 * linear(4), 2) == (linear(4), 3)
+
+    def test_absent_root(self):
+        p = linear(2) * Poly([1, 0, 1])
+        assert divide_out(p, 3) == (p, 0)
+
+    def test_root_zero(self):
+        assert divide_out(X ** 2 * linear(5), 0) == (linear(5), 2)
 
 
 @given(roots=st.lists(small_rationals, min_size=1, max_size=5))
