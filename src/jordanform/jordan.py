@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Mat, NoSolution, Vector, block_diag, jordan_block, solve_right
-from .nilpotent import _kernel_tower, block_generators, chains_to_basis
+from .matrices import Mat, NoSolution, Vector, _kernel_tower, block_diag, jordan_block, solve_right
+from .nilpotent import block_generators, chains_to_basis
 from .polynomials import Poly, rational_roots
 
 
@@ -266,17 +266,15 @@ def matrix_exp(a: Mat) -> ExpMatrix:
     offset = 0
     for lam, basis, nil in parts:
         mult = len(basis)
-        stacked = Mat.from_columns(basis)
         rows_back = Mat([full_inv.row(i) for i in range(offset, offset + mult)])
-        series = []
-        power = Mat.identity(mult)
-        factorial = 1
-        k = 0
-        while not power.is_zero:
-            series.append(stacked * (power * Fraction(1, factorial)) * rows_back)
-            k += 1
-            factorial *= k
-            power = power * nil
+        # left = B nil^k / k! with B the eigenbasis; nil^mult = 0 is never formed.
+        left = Mat.from_columns(basis)
+        series = [left * rows_back]
+        for k in range(1, mult):
+            left = left * nil * Fraction(1, k)
+            if left.is_zero:
+                break
+            series.append(left * rows_back)
         terms.append((lam, _series_to_poly_matrix(series)))
         offset += mult
     return ExpMatrix(terms=tuple(terms))

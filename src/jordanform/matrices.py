@@ -213,26 +213,8 @@ class Mat:
         ``m.rref()[0]``.
         """
         rows = [list(r) for r in self._rows]
-        nr, nc = self.nrows, self._ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            pivot_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            if pv != 1:
-                rows[r] = [x / pv for x in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return Mat(rows, ncols=nc), tuple(pivots)
+        pivots, _ = _eliminate(rows, self._ncols)
+        return Mat(rows, ncols=self._ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -244,39 +226,12 @@ class Mat:
         index, with entry 1 at its own free column and 0 at every other
         free column.
         """
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self._ncols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * self._ncols
-            v[free] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r, free]
-            basis.append(tuple(v))
-        return basis
+        return _kernel(*self.rref())
 
     def det(self) -> Fraction:
         self._require_square()
-        rows = [list(r) for r in self._rows]
-        n = self.nrows
-        sign = 1
-        out = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                sign = -sign
-            pv = rows[c][c]
-            out *= pv
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] / pv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return sign * out
+        pivots, product = _eliminate([list(r) for r in self._rows], self._ncols)
+        return product if len(pivots) == self.nrows else Fraction(0)
 
     def inverse(self) -> "Mat":
         self._require_square()
@@ -289,6 +244,71 @@ class Mat:
     def _require_same_shape(self, other: "Mat"):
         if self.nrows != other.nrows or self._ncols != other._ncols:
             raise ValueError("matrix shapes differ")
+
+
+def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[tuple[int, ...], Fraction]:
+    """Reduce ``rows`` in place to RREF, pivoting on the first nonzero entry
+    scanning down. Returns the pivot columns and the product of the pivots,
+    negated on each row swap: the determinant of a square full-rank input.
+    """
+    nr = len(rows)
+    pivots = []
+    product = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pivot_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            product = -product
+        pv = rows[r][c]
+        product *= pv
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), product
+
+
+def _kernel(reduced: Mat, pivots: tuple[int, ...]) -> list[Vector]:
+    """The canonical kernel basis (see ``Mat.nullspace_basis``) of an RREF."""
+    n = reduced.ncols
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r, free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _kernel_tower(a: Mat, limit: int) -> list[list[Vector]]:
+    """Canonical bases of N(A^0), ..., N(A^k), stopping at the first k where
+    N(A^k) is the whole space, equals N(A^(k-1)) (then so does every later
+    kernel), or k = limit.
+
+    Each step calls ``Mat.rref`` once, reads the kernel off its result and
+    multiplies only the nonzero RREF rows by A. They span the row space of
+    A^k, so their product has the row space, hence the RREF and the
+    canonical kernel basis, of A^(k+1).
+    """
+    kernels: list[list[Vector]] = [[]]
+    rows = a
+    for k in range(1, limit + 1):
+        reduced, pivots = rows.rref()
+        kernels.append(_kernel(reduced, pivots))
+        if k == limit or len(kernels[-1]) in (a.nrows, len(kernels[-2])):
+            break
+        rows = Mat(reduced._rows[: len(pivots)], ncols=a.ncols) * a
+    return kernels
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -10,7 +10,9 @@ identical decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .matrices import Mat, Vector, as_vector, block_diag, extend_independent, jordan_block
+from .matrices import (
+    Mat, Vector, _kernel_tower, as_vector, block_diag, extend_independent, jordan_block
+)
 
 
 class NotNilpotent(Exception):
@@ -76,27 +78,6 @@ def _require_operator(a: Mat):
         raise ValueError(f"operator must be square, got {a.nrows}x{a.ncols}")
     if a.nrows == 0:
         raise ValueError("operator must act on a space of dimension >= 1")
-
-
-def _kernel_tower(a: Mat, limit: int) -> list[list[Vector]]:
-    """Canonical bases of N(A^0), ..., N(A^k), stopping at the first k where
-    N(A^k) is the whole space, equals N(A^(k-1)) (then so does every later
-    kernel), or k = limit.
-
-    Each step does one elimination and multiplies only the nonzero RREF rows
-    by A. They span the row space of A^k, so their product has the row space,
-    hence the RREF and the canonical kernel basis, of A^(k+1).
-    """
-    kernels: list[list[Vector]] = [[]]
-    rows = a
-    for k in range(1, limit + 1):
-        reduced, pivots = rows.rref()
-        rows = Mat([reduced.row(i) for i in range(len(pivots))], ncols=a.ncols)
-        kernels.append(rows.nullspace_basis())
-        if k == limit or len(kernels[-1]) in (a.nrows, len(kernels[-2])):
-            break
-        rows = rows * a
-    return kernels
 
 
 def _d_values(a: Mat) -> tuple[list[list[Vector]], tuple[int, ...]]:

@@ -240,6 +240,14 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err != ""
 
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2\n\xff\xfe 3\n")
+        assert run(["jordan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err != ""
+
     def test_missing_file(self, capsys):
         assert run(["jordan", "/no/such/file.txt"]) == 2
         assert capsys.readouterr().out == ""

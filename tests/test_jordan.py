@@ -46,6 +46,21 @@ from helpers import (
 )
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Right factors of the Mat x Mat products made while the test runs."""
+    seen = []
+    multiply = Mat.__mul__
+
+    def counting(left, right):
+        if isinstance(right, Mat):
+            seen.append(right)
+        return multiply(left, right)
+
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    return seen
+
+
 def linear(root) -> Poly:
     return Poly([-root, 1])
 
@@ -126,16 +141,7 @@ class TestGeneralizedEigenspace:
                     with pytest.raises(DimensionMismatch):
                         generalized_eigenspace(a, lam, m)
 
-    def test_matrix_products_stop_with_the_kernels(self, monkeypatch):
-        products = []
-        multiply = Mat.__mul__
-
-        def counting(left, right):
-            if isinstance(right, Mat):
-                products.append(right)
-            return multiply(left, right)
-
-        monkeypatch.setattr(Mat, "__mul__", counting)
+    def test_matrix_products_stop_with_the_kernels(self, products):
         diagonalizable = block_diag([jordan_block(2, 1)] * 4 + [jordan_block(7, 1)])
         assert len(generalized_eigenspace(diagonalizable, 2, 4)) == 4
         assert len(products) == 1
@@ -143,6 +149,20 @@ class TestGeneralizedEigenspace:
             products.clear()
             assert len(generalized_eigenspace(jordan_block(3, m), 3, m)) == m
             assert len(products) == m - 1
+
+    def test_one_elimination_per_kernel(self, monkeypatch):
+        calls = []
+        rref = Mat.rref
+
+        def counting(m):
+            calls.append(m)
+            return rref(m)
+
+        monkeypatch.setattr(Mat, "rref", counting)
+        for m in range(1, 6):
+            calls.clear()
+            assert len(generalized_eigenspace(jordan_block(3, m), 3, m)) == m
+            assert len(calls) == m
 
 
 class TestRestrict:
@@ -275,6 +295,13 @@ class TestMatrixExp:
     def test_irrational_spectrum_propagates(self):
         with pytest.raises(IrrationalSpectrum):
             matrix_exp(ROTATION_2X2)
+
+    def test_series_forms_no_zero_power(self, products):
+        matrix_exp(block_diag([jordan_block(2, 1), jordan_block(3, 1), jordan_block(5, 1)]))
+        assert len(products) == 6
+        products.clear()
+        matrix_exp(jordan_block(3, 4))
+        assert len(products) == 14
 
 
 class TestValidateDecomposition:

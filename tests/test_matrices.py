@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -197,6 +199,20 @@ class TestDetInverse:
         assert Mat.identity(3).det() == 1
         assert Mat([[1, 2], [2, 4]]).det() == 0
         assert Mat([[1, 2], [3, 4]]).det() == -2
+
+    @given(matrices(square=True))
+    def test_det_is_the_leibniz_expansion(self, m):
+        n = m.nrows
+        expansion = sum(
+            (
+                (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+                * prod((m[i, p[i]] for i in range(n)), start=Fraction(1))
+                for p in permutations(range(n))
+            ),
+            Fraction(0),
+        )
+        assert m.det() == expansion
+        assert (m.det() != 0) == (m.rank() == n)
 
     def test_inverse_round_trip(self):
         m = Mat([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
