@@ -26,7 +26,7 @@ from .jordan import (
     similar,
     validate_decomposition,
 )
-from .matrices import Mat
+from .matrices import Mat, _shift
 from .nilpotent import block_sizes, d_sequence
 from .polynomials import divide_out
 from .rationals import parse_rational
@@ -196,7 +196,7 @@ def _cmd_blocks(args) -> int:
     if mult == 0:
         raise ShapeError(f"{lam} is not an eigenvalue")
     basis = generalized_eigenspace(a, lam, mult)
-    shifted = restrict(a, basis) - lam * Mat.identity(mult)
+    shifted = _shift(restrict(a, basis), lam)
     seq = d_sequence(shifted)
     sizes = block_sizes(shifted)
     print("d-sequence:", " ".join(str(v) for v in seq.values))

@@ -15,7 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Mat, NoSolution, Vector, _kernel_tower, block_diag, jordan_block, solve_right
+from .matrices import (
+    Mat,
+    NoSolution,
+    Vector,
+    _kernel_tower,
+    _shift,
+    block_diag,
+    jordan_block,
+    solve_right,
+)
 from .nilpotent import block_generators, chains_to_basis
 from .polynomials import Poly, rational_roots
 
@@ -97,7 +106,7 @@ def char_poly(a: Mat) -> Poly:
     for k in range(1, n + 1):
         am = a * m
         coeffs[n - k] = -am.trace() / k
-        m = am + coeffs[n - k] * Mat.identity(n)
+        m = _shift(am, -coeffs[n - k])
     assert m.is_zero  # Cayley-Hamilton closes the recursion
     return Poly(coeffs)
 
@@ -121,7 +130,7 @@ def generalized_eigenspace(a: Mat, eigenvalue, multiplicity: int) -> list[Vector
     3x3 block at lambda with multiplicity 2 gives the 2-dimensional kernel.
     """
     lam = Fraction(eigenvalue)
-    basis = _kernel_tower(a - lam * Mat.identity(a.nrows), multiplicity)[-1]
+    basis = _kernel_tower(_shift(a, lam), multiplicity)[-1]
     if len(basis) != multiplicity:
         raise DimensionMismatch(
             f"eigenspace for {lam} has dimension {len(basis)}, expected {multiplicity}"
@@ -147,7 +156,7 @@ def _nilpotent_parts(a: Mat, spectrum: Spectrum):
     and the nilpotent operator (A - lambda I) restricted to span B."""
     for lam, mult in spectrum.pairs:
         basis = generalized_eigenspace(a, lam, mult)
-        yield lam, basis, restrict(a, basis) - lam * Mat.identity(mult)
+        yield lam, basis, _shift(restrict(a, basis), lam)
 
 
 def _decompose(a: Mat, spectrum: Spectrum) -> JordanDecomposition:

@@ -5,11 +5,24 @@ entry scanning top to bottom (exact arithmetic removes the usual numerical
 reason to pivot by magnitude), and nullspace bases are read off the reduced
 echelon form in a fixed normalization. Downstream canonical choices depend
 on this determinism.
+
+Matrices store and return reduced Fractions, but the two inner loops run on
+Python ints, which pay no gcd per scalar operation. A product scales each
+left row and each right column to integer numerators over one denominator
+(``_scaled``) and forms each entry as one Fraction of an integer dot
+product. Row reduction (``_eliminate``) keeps each row as a primitive
+integer vector, a nonzero multiple of the row that elimination over
+Fractions would hold, and divides by the pivots only at the end. Exact
+values are unique and the pivot rule sees the same zero pattern, so every
+result, and every output byte downstream, is the one Fraction arithmetic
+gives (``jordanform.testkit`` keeps that arithmetic as the oracle).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .rationals import _coerce
@@ -160,9 +173,12 @@ class Mat:
                 raise ValueError(
                     f"cannot multiply {self.nrows}x{self._ncols} by {other.nrows}x{other.ncols}"
                 )
-            cols = other.columns()
+            cols = [_scaled(c) for c in other.columns()]
             return Mat(
-                [[_dot(row, c) for c in cols] for row in self._rows],
+                [
+                    [Fraction(sum(map(mul, nums, c_nums)), den * c_den) for c_nums, c_den in cols]
+                    for nums, den in map(_scaled, self._rows)
+                ],
                 ncols=other.ncols,
             )
         scalar = _coerce(other)
@@ -186,7 +202,11 @@ class Mat:
         v = as_vector(vector)
         if len(v) != self._ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(_dot(row, v) for row in self._rows)
+        v_nums, v_den = _scaled(v)
+        return tuple(
+            Fraction(sum(map(mul, nums, v_nums)), den * v_den)
+            for nums, den in map(_scaled, self._rows)
+        )
 
     def transpose(self) -> "Mat":
         return Mat(
@@ -212,7 +232,7 @@ class Mat:
         The result is the unique RREF, so ``m.rref()[0].rref()[0]`` equals
         ``m.rref()[0]``.
         """
-        rows = [list(r) for r in self._rows]
+        rows = list(self._rows)
         pivots, _ = _eliminate(rows, self._ncols)
         return Mat(rows, ncols=self._ncols), pivots
 
@@ -230,8 +250,10 @@ class Mat:
 
     def det(self) -> Fraction:
         self._require_square()
-        pivots, product = _eliminate([list(r) for r in self._rows], self._ncols)
-        return product if len(pivots) == self.nrows else Fraction(0)
+        pivots, scalings = _eliminate(list(self._rows), self._ncols)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        return Fraction(prod(d for _, d in scalings), prod(u for u, _ in scalings))
 
     def inverse(self) -> "Mat":
         self._require_square()
@@ -246,35 +268,60 @@ class Mat:
             raise ValueError("matrix shapes differ")
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[tuple[int, ...], Fraction]:
-    """Reduce ``rows`` in place to RREF, pivoting on the first nonzero entry
-    scanning down. Returns the pivot columns and the product of the pivots,
-    negated on each row swap: the determinant of a square full-rank input.
+def _eliminate(
+    rows: list[Sequence[Fraction]], ncols: int
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Replace ``rows`` in place by their RREF, pivoting on the first nonzero
+    entry scanning down. Returns the pivot columns and the row scalings, in
+    order: each ``(u, d)`` multiplied one row by u/d (a swap counts as
+    (-1, 1)). The RREF of a square full-rank input is I, so its determinant
+    is the reciprocal of the product of the scalings.
+
+    The work runs on primitive integer rows: each row is scaled to integers
+    and divided by its content, and the update of row i by pivot row r with
+    pivot p is ``p * row_i - row_i[c] * row_r``, made primitive again. Every
+    integer row is a nonzero multiple of the row the same elimination over
+    Fractions would hold, so zero patterns and pivots are the same, and
+    dividing each pivot row by its pivot gives the same unique RREF.
     """
     nr = len(rows)
+    ints = []
+    scalings = []
+    for row in rows:
+        nums, den = _scaled(row)
+        g = gcd(*nums) or 1
+        ints.append([x // g for x in nums])
+        scalings.append((den, g))
     pivots = []
-    product = Fraction(1)
     r = 0
     for c in range(ncols):
         if r == nr:
             break
-        pivot_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nr) if ints[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            product = -product
-        pv = rows[r][c]
-        product *= pv
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+            ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+            scalings.append((-1, 1))
+        top = ints[r]
+        p = top[c]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = ints[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(ints[i], top)]
+                g = gcd(*row) or 1
+                ints[i] = [x // g for x in row]
+                scalings.append((p, g))
         pivots.append(c)
         r += 1
-    return tuple(pivots), product
+    for i, c in enumerate(pivots):
+        p = ints[i][c]
+        rows[i] = [Fraction(x, p) for x in ints[i]]
+        scalings.append((1, p))
+    zero = Fraction(0)
+    for i in range(r, nr):
+        rows[i] = [zero] * ncols
+    return tuple(pivots), scalings
 
 
 def _kernel(reduced: Mat, pivots: tuple[int, ...]) -> list[Vector]:
@@ -311,8 +358,20 @@ def _kernel_tower(a: Mat, limit: int) -> list[list[Vector]]:
     return kernels
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``v`` over the lcm of its denominators."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _shift(a: Mat, c: Fraction) -> Mat:
+    """A - cI for square A, editing only the diagonal."""
+    a._require_square()
+    rows = [list(row) for row in a._rows]
+    for i, row in enumerate(rows):
+        row[i] -= c
+    return Mat(rows, ncols=a.ncols)
 
 
 def jordan_block(eigenvalue, size: int) -> Mat:

@@ -133,6 +133,53 @@ def matrix_exp_via_jordan(a: Mat) -> ExpMatrix:
     return ExpMatrix(terms=tuple(terms))
 
 
+def fraction_product(a: Mat, b: Mat) -> Mat:
+    """A B with one Fraction multiply and add per term; cross-check for the
+    integer products behind ``Mat.__mul__`` and ``Mat.apply``."""
+    cols = b.columns()
+    return Mat(
+        [
+            [sum((x * y for x, y in zip(a.row(i), c)), Fraction(0)) for c in cols]
+            for i in range(a.nrows)
+        ],
+        ncols=b.ncols,
+    )
+
+
+def fraction_rref(m: Mat) -> tuple[Mat, tuple[int, ...], Fraction]:
+    """RREF, pivot columns and determinant by Gauss-Jordan elimination over
+    Fractions, pivoting on the first nonzero entry scanning down; cross-check
+    for the integer elimination behind ``Mat.rref`` and ``Mat.det``. The
+    determinant is the signed product of the pivots, 0 unless m is square
+    with full rank.
+    """
+    rows = [list(m.row(i)) for i in range(m.nrows)]
+    nr = len(rows)
+    pivots = []
+    product = Fraction(1)
+    r = 0
+    for c in range(m.ncols):
+        if r == nr:
+            break
+        pivot_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            product = -product
+        pv = rows[r][c]
+        product *= pv
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    det = product if m.is_square and r == nr else Fraction(0)
+    return Mat(rows, ncols=m.ncols), tuple(pivots), det
+
+
 def build_jordan_matrix(spec: BlockSpec) -> Mat:
     """The canonical Jordan matrix realizing the given block structure."""
     blocks = [

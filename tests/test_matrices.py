@@ -15,10 +15,12 @@ from jordanform import (
     jordan_block,
     solve_right,
 )
+from jordanform.testkit import fraction_product, fraction_rref
 
 from helpers import NILPOTENT_4X4, SHIFTED_3X3, unit
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+wide_rationals = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**40))
 
 
 @st.composite
@@ -41,6 +43,88 @@ def vector_lists(draw, max_dim=4):
     dim = draw(st.integers(1, max_dim))
     vector = st.tuples(*[small_rationals] * dim)
     return dim, draw(st.lists(vector, max_size=3)), draw(st.lists(vector, max_size=5))
+
+
+@st.composite
+def wide_matrices(draw, nrows=None, ncols=None, max_dim=4):
+    """Wide-rational matrices, 0..max_dim on a side; a row may instead be
+    zero, a copy of an earlier row or a multiple of one."""
+    nrows = draw(st.integers(0, max_dim)) if nrows is None else nrows
+    ncols = draw(st.integers(0, max_dim)) if ncols is None else ncols
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["new", "zero", "copy", "multiple"] if i else ["new", "zero"]))
+        if kind == "new":
+            rows.append(draw(st.lists(wide_rationals, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            earlier = rows[draw(st.integers(0, i - 1))]
+            factor = draw(wide_rationals) if kind == "multiple" else 1
+            rows.append([factor * x for x in earlier])
+    return Mat(rows, ncols=ncols)
+
+
+def all_fractions(m: Mat) -> bool:
+    return all(type(m[i, j]) is Fraction for i in range(m.nrows) for j in range(m.ncols))
+
+
+def leibniz(m: Mat) -> Fraction:
+    """det m as the signed sum over permutations."""
+    n = m.nrows
+    return sum(
+        (
+            (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            * prod((m[i, p[i]] for i in range(n)), start=Fraction(1))
+            for p in permutations(range(n))
+        ),
+        Fraction(0),
+    )
+
+
+class TestIntegerKernel:
+    """Integer products and elimination against the Fraction oracles in
+    ``jordanform.testkit``, on wide entries and degenerate shapes."""
+
+    @given(data=st.data())
+    def test_product(self, data):
+        a = data.draw(wide_matrices())
+        b = data.draw(wide_matrices(nrows=a.ncols))
+        product = a * b
+        assert product == fraction_product(a, b)
+        assert all_fractions(product)
+
+    @given(data=st.data())
+    def test_apply(self, data):
+        m = data.draw(wide_matrices())
+        v = data.draw(st.lists(wide_rationals, min_size=m.ncols, max_size=m.ncols))
+        image = m.apply(v)
+        assert image == fraction_product(m, Mat.from_columns([v], nrows=m.ncols)).col(0)
+        assert all(type(x) is Fraction for x in image)
+
+    @given(wide_matrices())
+    def test_rref(self, m):
+        result = m.rref()
+        assert result == fraction_rref(m)[:2]
+        assert all_fractions(result[0])
+
+    @given(wide_matrices())
+    def test_nullspace_basis(self, m):
+        reduced, pivots, _ = fraction_rref(m)
+        expected = []
+        for free in sorted(set(range(m.ncols)) - set(pivots)):
+            v = [Fraction(0)] * m.ncols
+            v[free] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -reduced[r, free]
+            expected.append(tuple(v))
+        assert m.nullspace_basis() == expected
+
+    @given(data=st.data())
+    def test_det(self, data):
+        n = data.draw(st.integers(0, 4))
+        m = data.draw(wide_matrices(nrows=n, ncols=n))
+        assert m.det() == fraction_rref(m)[2]
 
 
 class TestRref:
@@ -200,19 +284,17 @@ class TestDetInverse:
         assert Mat([[1, 2], [2, 4]]).det() == 0
         assert Mat([[1, 2], [3, 4]]).det() == -2
 
+    def test_det_with_row_swaps_and_fractional_pivots(self):
+        m = Mat([[0, "1/3"], ["5/7", 2]])
+        assert m.det() == leibniz(m) == Fraction(-5, 21)
+        # Zero leading 2x2 block: det = det(upper right) * det(lower left).
+        m = Mat([[0, 0, 2, "1/2"], [0, 0, "1/3", 5], [3, "1/5", 0, 7], ["1/2", 4, 1, 0]])
+        assert m.det() == leibniz(m) == Fraction(59, 6) * Fraction(119, 10)
+
     @given(matrices(square=True))
     def test_det_is_the_leibniz_expansion(self, m):
-        n = m.nrows
-        expansion = sum(
-            (
-                (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
-                * prod((m[i, p[i]] for i in range(n)), start=Fraction(1))
-                for p in permutations(range(n))
-            ),
-            Fraction(0),
-        )
-        assert m.det() == expansion
-        assert (m.det() != 0) == (m.rank() == n)
+        assert m.det() == leibniz(m)
+        assert (m.det() != 0) == (m.rank() == m.nrows)
 
     def test_inverse_round_trip(self):
         m = Mat([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
