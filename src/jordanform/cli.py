@@ -8,6 +8,7 @@ or shape error. Diagnostics go to stderr; stdout stays clean on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -290,11 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: building takes milliseconds,
+    parsing one command line a small fraction of that."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     """Execute one command line; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -6,6 +6,10 @@ chain generators, and assembly of the transition matrix. The canonical
 form orders eigenvalues ascending and blocks within an eigenvalue by
 descending size, with 1 on the superdiagonal.
 
+``matrix_exp`` needs no restriction and no chains: per eigenvalue it sums
+powers of A - lambda I times the spectral projector onto the generalized
+eigenspace.
+
 Matrices whose characteristic polynomial does not split into rational
 linear factors are out of scope and reported via IrrationalSpectrum.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .matrices import (
     Mat,
@@ -102,11 +107,12 @@ def char_poly(a: Mat) -> Poly:
     if n == 0:
         raise ValueError("characteristic polynomial needs dimension >= 1")
     coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = Mat.identity(n)
+    am = a  # A M_0, with M_0 = I
     for k in range(1, n + 1):
-        am = a * m
         coeffs[n - k] = -am.trace() / k
         m = _shift(am, -coeffs[n - k])
+        if k < n:
+            am = a * m
     assert m.is_zero  # Cayley-Hamilton closes the recursion
     return Poly(coeffs)
 
@@ -151,20 +157,14 @@ def restrict(a: Mat, basis: list[Vector] | list) -> Mat:
         raise NotInvariant("subspace is not invariant under the operator") from None
 
 
-def _nilpotent_parts(a: Mat, spectrum: Spectrum):
-    """Per eigenvalue, ascending: lambda, the generalized eigenspace basis B
-    and the nilpotent operator (A - lambda I) restricted to span B."""
-    for lam, mult in spectrum.pairs:
-        basis = generalized_eigenspace(a, lam, mult)
-        yield lam, basis, _shift(restrict(a, basis), lam)
-
-
 def _decompose(a: Mat, spectrum: Spectrum) -> JordanDecomposition:
     """``jordan_form`` of A, given its already computed spectrum."""
     columns: list[Vector] = []
     j_blocks: list[Mat] = []
     spectrum_blocks = []
-    for lam, basis, nil in _nilpotent_parts(a, spectrum):
+    for lam, mult in spectrum.pairs:
+        basis = generalized_eigenspace(a, lam, mult)
+        nil = _shift(restrict(a, basis), lam)
         decomposition = block_generators(nil)
         p_local, _ = chains_to_basis(nil, decomposition)
         columns.extend((Mat.from_columns(basis) * p_local).columns())
@@ -210,20 +210,12 @@ def jordan_structure(j: Mat) -> tuple[tuple[Fraction, tuple[int, ...]], ...] | N
     run, with sizes non-increasing inside a run. Returns None otherwise.
     """
     blocks = jordan_blocks(j)
-    if blocks is None:
+    if blocks is None or blocks != sorted(blocks, key=lambda b: (b[0], -b[1])):
         return None
-    grouped: list[tuple[Fraction, list[int]]] = []
+    grouped: dict[Fraction, list[int]] = {}
     for lam, size in blocks:
-        if grouped and grouped[-1][0] == lam:
-            grouped[-1][1].append(size)
-        else:
-            grouped.append((lam, [size]))
-    values = [lam for lam, _ in grouped]
-    if values != sorted(set(values)):
-        return None
-    if any(sizes != sorted(sizes, reverse=True) for _, sizes in grouped):
-        return None
-    return tuple((lam, tuple(sizes)) for lam, sizes in grouped)
+        grouped.setdefault(lam, []).append(size)
+    return tuple((lam, tuple(sizes)) for lam, sizes in grouped.items())
 
 
 def validate_decomposition(a: Mat, dec: JordanDecomposition) -> bool:
@@ -261,31 +253,29 @@ def similar(a: Mat, b: Mat) -> Mat | None:
 
 
 def matrix_exp(a: Mat) -> ExpMatrix:
-    """Closed-form exp(tA) computed on the generalized eigenbasis.
+    """Closed-form exp(tA) from the spectral projectors of A.
 
-    On each generalized eigenspace the shifted operator is nilpotent, so
-    exp(t(A - lambda I)) is the terminating series sum over k of
-    t^k (A - lambda I)^k / k!; conjugating back by the eigenbasis gives the
-    global coefficient matrix for e^(lambda t).
+    With B the generalized eigenbasis at lambda and R its block of rows in
+    the inverse of all bases side by side, E = B R projects onto that
+    eigenspace along the others. A - lambda I is nilpotent there, so the
+    coefficient matrix of e^(lambda t) is the terminating sum over k of
+    t^k (A - lambda I)^k E / k!.
     """
-    parts = list(_nilpotent_parts(a, eigenvalues(a)))
-    full = Mat.from_columns([v for _, basis, _ in parts for v in basis], nrows=a.nrows)
-    full_inv = full.inverse()
+    bases = [(lam, generalized_eigenspace(a, lam, mult)) for lam, mult in eigenvalues(a).pairs]
+    inverse = Mat.from_columns([v for _, basis in bases for v in basis], nrows=a.nrows).inverse()
+    inverse_rows = (inverse.row(i) for i in range(a.nrows))
     terms = []
-    offset = 0
-    for lam, basis, nil in parts:
-        mult = len(basis)
-        rows_back = Mat([full_inv.row(i) for i in range(offset, offset + mult)])
-        # left = B nil^k / k! with B the eigenbasis; nil^mult = 0 is never formed.
-        left = Mat.from_columns(basis)
-        series = [left * rows_back]
-        for k in range(1, mult):
-            left = left * nil * Fraction(1, k)
-            if left.is_zero:
+    for lam, basis in bases:
+        # term = (A - lambda I)^k E / k!; the zero power k = mult is never formed.
+        term = Mat.from_columns(basis) * Mat(islice(inverse_rows, len(basis)))
+        series = [term]
+        shifted = _shift(a, lam)
+        for k in range(1, len(basis)):
+            term = shifted * term * Fraction(1, k)
+            if term.is_zero:
                 break
-            series.append(left * rows_back)
+            series.append(term)
         terms.append((lam, _series_to_poly_matrix(series)))
-        offset += mult
     return ExpMatrix(terms=tuple(terms))
 
 

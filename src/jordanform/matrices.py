@@ -84,7 +84,7 @@ class Mat:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Iterable], nrows: int | None = None) -> "Mat":
-        cols = [as_vector(c) for c in columns]
+        cols = [tuple(c) for c in columns]  # Mat() coerces the entries
         if not cols:
             if nrows is None:
                 raise ValueError("nrows is required for an empty column list")

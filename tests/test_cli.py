@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import jordanform.cli
 from jordanform import Mat
 from jordanform.cli import (
     EmptyInput,
@@ -262,3 +263,18 @@ class TestErrorPaths:
         assert run(["jordan"]) == 2
         assert run(["frobnicate"]) == 2
         assert run([]) == 2
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("0 1\n0 0\n")
+        assert run(["blocks", str(path), "--eigenvalue", "0"]) == 0
+        first = capsys.readouterr()
+
+        def forbidden():
+            raise AssertionError("parser rebuilt for a second command")
+
+        monkeypatch.setattr(jordanform.cli, "build_parser", forbidden)
+        assert run(["blocks", str(path), "--eigenvalue", "0"]) == 0
+        assert capsys.readouterr() == first
+        assert run(["blocks", str(path)]) == 2
+        assert "--eigenvalue" in capsys.readouterr().err

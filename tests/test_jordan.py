@@ -79,6 +79,12 @@ class TestCharPoly:
         m = Mat([["1/2", 0], [0, "1/3"]])
         assert char_poly(m) == linear(Fraction(1, 2)) * linear(Fraction(1, 3))
 
+    def test_recursion_starts_from_a(self, products):
+        for n in range(1, 6):
+            products.clear()
+            assert char_poly(jordan_block(2, n)) == linear(2) ** n
+            assert len(products) == n - 1
+
 
 class TestEigenvalues:
     def test_mixed_4x4(self):
@@ -298,10 +304,19 @@ class TestMatrixExp:
 
     def test_series_forms_no_zero_power(self, products):
         matrix_exp(block_diag([jordan_block(2, 1), jordan_block(3, 1), jordan_block(5, 1)]))
-        assert len(products) == 6
+        assert len(products) == 5
         products.clear()
         matrix_exp(jordan_block(3, 4))
-        assert len(products) == 14
+        assert len(products) == 10
+
+    def test_never_restricts(self, monkeypatch):
+        expected = matrix_exp_via_jordan(MIXED_4X4)
+
+        def forbidden(a, basis):
+            raise AssertionError("matrix_exp restricted A to an eigenspace")
+
+        monkeypatch.setattr(jordanform.jordan, "restrict", forbidden)
+        assert matrix_exp(MIXED_4X4) == expected
 
 
 class TestValidateDecomposition:
@@ -348,6 +363,23 @@ class TestJordanStructure:
         spec = BlockSpec(pairs=((Fraction(-1), (3, 1)), (Fraction(1, 2), (2,))))
         j = build_jordan_matrix(spec)
         assert jordan_structure(j) == spec.pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.dictionaries(
+            st.integers(-2, 2), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+            min_size=1, max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_shuffled_blocks_parse_only_in_canonical_order(self, sizes, data):
+        spec = tuple(
+            (Fraction(lam), tuple(sorted(hs, reverse=True))) for lam, hs in sorted(sizes.items())
+        )
+        canonical = [(lam, h) for lam, hs in spec for h in hs]
+        shuffled = data.draw(st.permutations(canonical))
+        structure = jordan_structure(block_diag([jordan_block(lam, h) for lam, h in shuffled]))
+        assert structure == (spec if shuffled == canonical else None)
 
 
 def test_conjugation_invariance_small():
