@@ -103,7 +103,7 @@ def parse_matrix_json(text: str, source: str = "<input>") -> MatrixDocument:
     """Object with key ``matrix``: array of arrays of ints or rational strings."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", source) from None
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ParseError('expected an object with a "matrix" key', source)
@@ -119,15 +119,12 @@ def parse_matrix_json(text: str, source: str = "<input>") -> MatrixDocument:
             raise RaggedRows(f"row has {len(raw_row)} entries, expected {width}", source, i)
         row = []
         for entry in raw_row:
-            if isinstance(entry, int) and not isinstance(entry, bool):
-                row.append(parse_rational(str(entry)))
-            elif isinstance(entry, str):
-                try:
-                    row.append(parse_rational(entry))
-                except ValueError:
-                    raise ParseError(f"bad rational entry {entry!r}", source, i) from None
-            else:
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
                 raise ParseError(f"entry {entry!r} is not an integer or string", source, i)
+            try:
+                row.append(parse_rational(str(entry)))
+            except ValueError:
+                raise ParseError(f"bad rational entry {entry!r}", source, i) from None
         rows.append(row)
     return MatrixDocument(matrix=Mat(rows), source=source)
 

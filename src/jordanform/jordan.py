@@ -113,7 +113,8 @@ def char_poly(a: Mat) -> Poly:
         m = _shift(am, -coeffs[n - k])
         if k < n:
             am = a * m
-    assert m.is_zero  # Cayley-Hamilton closes the recursion
+    if not m.is_zero:
+        raise AssertionError("the trace recursion does not close (Cayley-Hamilton)")
     return Poly(coeffs)
 
 
@@ -150,9 +151,8 @@ def restrict(a: Mat, basis: list[Vector] | list) -> Mat:
     Returns M with A B = B M where B stacks the basis as columns.
     """
     stacked = Mat.from_columns(basis, nrows=a.nrows)
-    image = Mat.from_columns([a.apply(v) for v in basis], nrows=a.nrows)
     try:
-        return solve_right(stacked, image)
+        return solve_right(stacked, a * stacked)
     except NoSolution:
         raise NotInvariant("subspace is not invariant under the operator") from None
 
@@ -172,7 +172,8 @@ def _decompose(a: Mat, spectrum: Spectrum) -> JordanDecomposition:
         spectrum_blocks.append((lam, decomposition.heights))
     p = Mat.from_columns(columns, nrows=a.nrows)
     j = block_diag(j_blocks)
-    assert a * p == p * j
+    if a * p != p * j:
+        raise AssertionError("A P != P J")
     return JordanDecomposition(spectrum_blocks=tuple(spectrum_blocks), j=j, p=p)
 
 

@@ -159,13 +159,7 @@ class Mat:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        self._require_same_shape(other)
-        return Mat(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            ncols=self._ncols,
-        )
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -184,9 +178,7 @@ class Mat:
         scalar = _coerce(other)
         return Mat([[x * scalar for x in row] for row in self._rows], ncols=self._ncols)
 
-    def __rmul__(self, other):
-        scalar = _coerce(other)
-        return Mat([[scalar * x for x in row] for row in self._rows], ncols=self._ncols)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Mat":
         self._require_square()
@@ -209,10 +201,7 @@ class Mat:
         )
 
     def transpose(self) -> "Mat":
-        return Mat(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self._ncols)],
-            ncols=self.nrows,
-        )
+        return Mat.from_columns(self._rows, nrows=self._ncols)
 
     def augment(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:

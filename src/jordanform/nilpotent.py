@@ -90,12 +90,38 @@ def _d_values(a: Mat) -> tuple[list[list[Vector]], tuple[int, ...]]:
     return kernels, tuple(r - s for r, s in zip(ranks, ranks[1:]))
 
 
-def _chain(a: Mat, g, h: int) -> list[Vector]:
-    """The chain ``g, A g, ..., A^(h-1) g``."""
-    vectors = [as_vector(g)]
-    for _ in range(h - 1):
-        vectors.append(a.apply(vectors[-1]))
-    return vectors
+def _chain(a: Mat, g, limit: int) -> list[Vector]:
+    """``g, A g, A^2 g, ...`` up to the first zero vector (left out) or
+    ``limit >= 1`` vectors, with no product after the last vector kept."""
+    chain = []
+    v = as_vector(g)
+    while any(v):
+        chain.append(v)
+        if len(chain) >= limit:
+            break
+        v = a.apply(v)
+    return chain
+
+
+def _orbit(a: Mat, v) -> list[Vector]:
+    """The chain of nonzero v under nilpotent A, down to its last nonzero vector."""
+    chain = _chain(a, v, a.nrows + 1)
+    if not chain:
+        raise ZeroVector("height of the zero vector is undefined")
+    if len(chain) > a.nrows:
+        raise NotNilpotent(f"A^{a.nrows} v is nonzero")
+    return chain
+
+
+def _basis(vectors: list[Vector], n: int, error: type[Exception]) -> Mat:
+    """The vectors as columns of P; raises ``error`` unless they form a basis
+    of the n-dimensional space."""
+    if len(vectors) != n:
+        raise error(f"chain vectors span {len(vectors)} dimensions, expected {n}")
+    p = Mat.from_columns(vectors, nrows=n)
+    if p.rank() != n:
+        raise error("chain vectors are linearly dependent")
+    return p
 
 
 def nilpotency_index(a: Mat) -> int:
@@ -106,16 +132,7 @@ def nilpotency_index(a: Mat) -> int:
 def height(a: Mat, v) -> int:
     """Smallest h >= 1 with A^h v = 0, for nilpotent A and v != 0."""
     _require_operator(a)
-    w = as_vector(v)
-    if all(x == 0 for x in w):
-        raise ZeroVector("height of the zero vector is undefined")
-    h = 0
-    while any(x != 0 for x in w):
-        if h == a.nrows:
-            raise NotNilpotent(f"A^{a.nrows} v is nonzero")
-        w = a.apply(w)
-        h += 1
-    return h
+    return len(_orbit(a, v))
 
 
 def d_sequence(a: Mat) -> DSequence:
@@ -158,7 +175,8 @@ def block_generators(a: Mat) -> CyclicDecomposition:
             # Tail of each taller chain that already lies in N(A^size).
             existing.extend(vectors[len(vectors) - size:])
         new_generators = extend_independent(existing, kernels[size])
-        assert len(new_generators) == count
+        if len(new_generators) != count:
+            raise AssertionError(f"expected {count} generators of height {size}")
         for g in new_generators:
             chains.append((g, size))
             chain_vectors.append(_chain(a, g, size))
@@ -173,45 +191,26 @@ def chains_to_basis(a: Mat, dec: CyclicDecomposition) -> tuple[Mat, Mat]:
     """
     _require_operator(a)
     columns: list[Vector] = []
-    blocks: list[Mat] = []
     for g, h in dec.chains:
-        vectors = _chain(a, g, h)
-        last = vectors[-1]
-        if all(x == 0 for x in last):
-            raise InvalidDecomposition(f"recorded height {h} is too large")
-        if any(x != 0 for x in a.apply(last)):
-            raise InvalidDecomposition(f"recorded height {h} is too small")
-        columns.extend(reversed(vectors))
-        blocks.append(jordan_block(0, h))
-    if len(columns) != a.nrows:
-        raise InvalidDecomposition(
-            f"chain vectors span {len(columns)} dimensions, expected {a.nrows}"
-        )
-    p = Mat.from_columns(columns)
-    if p.rank() != a.nrows:
-        raise InvalidDecomposition("chain vectors are linearly dependent")
-    j = block_diag(blocks)
-    return p, j
+        if h < 1:
+            raise InvalidDecomposition(f"recorded height {h} is below 1")
+        chain = _chain(a, g, h + 1)
+        if len(chain) != h:
+            raise InvalidDecomposition(
+                f"recorded height {h} is too {'large' if len(chain) < h else 'small'}"
+            )
+        columns.extend(reversed(chain))
+    p = _basis(columns, a.nrows, InvalidDecomposition)
+    return p, block_diag([jordan_block(0, h) for h in dec.heights])
 
 
 def validate_generators(a: Mat, generators) -> tuple[int, ...]:
     """Check proposed generators and return their height multiset, descending.
 
-    Computes each generator's height, builds all chain vectors and verifies
-    that together they form a basis of the whole space.
+    Walks each generator's chain once: its length is the height, and all
+    chain vectors together must form a basis of the whole space.
     """
     _require_operator(a)
-    heights = []
-    all_vectors: list[Vector] = []
-    for g in generators:
-        h = height(a, g)
-        heights.append(h)
-        all_vectors.extend(_chain(a, g, h))
-    if len(all_vectors) != a.nrows:
-        raise NotABasis(
-            f"chain vectors span {len(all_vectors)} dimensions, expected {a.nrows}"
-        )
-    if Mat.from_columns(all_vectors, nrows=a.nrows).rank() != a.nrows:
-        raise NotABasis("chain vectors are linearly dependent")
-    return tuple(sorted(heights, reverse=True))
-
+    chains = [_orbit(a, g) for g in generators]
+    _basis([v for chain in chains for v in chain], a.nrows, NotABasis)
+    return tuple(sorted(map(len, chains), reverse=True))

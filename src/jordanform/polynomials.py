@@ -79,9 +79,7 @@ class Poly:
         return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -96,8 +94,7 @@ class Poly:
             return Poly(out)
         return Poly(c * _coerce(other) for c in self.coeffs)
 
-    def __rmul__(self, other):
-        return Poly(c * _coerce(other) for c in self.coeffs)
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -170,7 +167,8 @@ def divide_out(p: Poly, r) -> tuple[Poly, int]:
     m = 0
     while p.degree >= 1 and p(r) == 0:
         p, rem = divmod(p, Poly([-r, 1]))
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise AssertionError(f"x - {r} leaves remainder {rem}")
         m += 1
     return p, m
 

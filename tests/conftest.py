@@ -2,6 +2,9 @@ import time
 
 import pytest
 
+# Keep the shared helpers' asserts when the suite runs under python -O.
+pytest.register_assert_rewrite("helpers")
+
 from jordanform.testkit import random_block_spec, random_similar
 
 

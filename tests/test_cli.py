@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -248,6 +249,27 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no integer string conversion limit",
+    )
+    def test_json_integer_over_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "big.json"
+        path.write_text('{"matrix": [[' + digits + "]]}")
+        assert run(["jordan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON")
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run(["jordan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON")
 
     def test_missing_file(self, capsys):
         assert run(["jordan", "/no/such/file.txt"]) == 2

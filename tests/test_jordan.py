@@ -1,4 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +192,15 @@ class TestRestrict:
     def test_non_invariant_rejected(self):
         with pytest.raises(NotInvariant):
             restrict(NILPOTENT_4X4, [unit(4, 1)])
+
+    def test_image_is_one_product(self, products, monkeypatch):
+        def forbidden(self, vector):
+            raise AssertionError("restrict applied A to one vector at a time")
+
+        monkeypatch.setattr(Mat, "apply", forbidden)
+        basis = [unit(4, 0), unit(4, 1), unit(4, 2)]
+        assert restrict(MIXED_4X4, basis) == Mat([[2, 0, 2], [0, 2, 1], [0, 0, 2]])
+        assert len(products) == 1
 
 
 class TestJordanForm:
@@ -380,6 +394,35 @@ class TestJordanStructure:
         shuffled = data.draw(st.permutations(canonical))
         structure = jordan_structure(block_diag([jordan_block(lam, h) for lam, h in shuffled]))
         assert structure == (spec if shuffled == canonical else None)
+
+
+class TestChecksSurviveOptimize:
+    def test_no_assert_statement_in_production_modules(self):
+        package = Path(jordanform.jordan.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            if path.name == "testkit.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert lines == [], (path.name, lines)
+
+    def test_wrong_j_is_caught_under_python_o(self):
+        script = (
+            "import jordanform.jordan as jj\n"
+            "block = jj.jordan_block\n"
+            "jj.jordan_block = lambda lam, h: block(lam + 1, h)\n"
+            "try:\n"
+            "    jj.jordan_form(jj.Mat([[1, 1], [0, 1]]))\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        src = str(Path(jordanform.jordan.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False A P != P J\n", "")
 
 
 def test_conjugation_invariance_small():

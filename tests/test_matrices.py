@@ -317,3 +317,5 @@ def test_matrices_are_value_like():
     assert m[0, 1] == 2
     assert m.col(1) == (Fraction(2), Fraction(4))
     assert m.transpose().row(1) == (Fraction(2), Fraction(4))
+    assert Mat([], ncols=3).transpose() == Mat([[], [], []])
+    assert Mat([[], [], []]).transpose() == Mat([], ncols=3)

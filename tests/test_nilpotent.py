@@ -171,10 +171,30 @@ class TestChainsToBasis:
         with pytest.raises(InvalidDecomposition):
             chains_to_basis(NILPOTENT_4X4, dec)
 
+    def test_height_below_one_rejected(self):
+        for h in (0, -1):
+            dec = CyclicDecomposition(chains=(((1,), h),))
+            with pytest.raises(InvalidDecomposition):
+                chains_to_basis(Mat.zeros(1, 1), dec)
+            with pytest.raises(InvalidDecomposition):
+                chains_to_basis(Mat.identity(1), dec)
+
 
 class TestValidateGenerators:
     def test_accepts_true_generator(self):
         assert validate_generators(NILPOTENT_4X4, [unit(4, 3)]) == (4,)
+
+    def test_walks_each_chain_once(self, monkeypatch):
+        calls = []
+        apply = Mat.apply
+
+        def counting(self, vector):
+            calls.append(vector)
+            return apply(self, vector)
+
+        monkeypatch.setattr(Mat, "apply", counting)
+        assert validate_generators(NILPOTENT_4X4, [unit(4, 3)]) == (4,)
+        assert len(calls) == 4
 
     def test_rejects_short_chain(self):
         with pytest.raises(NotABasis):
