@@ -2,7 +2,8 @@
 
 Exit code contract: 0 success, 1 negative answer from ``similar`` or
 ``validate``, 2 parse or usage error, 3 irrational spectrum, 4 dimension
-or shape error. Diagnostics go to stderr; stdout stays clean on errors.
+or shape error, 5 internal error. Diagnostics go to stderr; stdout stays
+clean on errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_IRRATIONAL = 3
 EXIT_SHAPE = 4
+EXIT_INTERNAL = 5
 
 
 class ParseError(Exception):
@@ -134,26 +136,18 @@ def format_matrix_json(m: Mat) -> str:
     return json.dumps({"matrix": _matrix_rows(m)})
 
 
-def _load_document(path: str, fmt: str | None) -> MatrixDocument:
+def _load_square(path: str, fmt: str | None) -> Mat:
+    """The square, nonempty matrix in ``path`` (``-`` for stdin); ShapeError otherwise."""
     if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
+        text, source = sys.stdin.read(), "<stdin>"
     else:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        source = path
+            text, source = handle.read(), path
     use_json = fmt == "json" or (fmt is None and path.endswith(".json"))
-    parser = parse_matrix_json if use_json else parse_matrix_text
-    return parser(text, source)
-
-
-def _require_square(doc: MatrixDocument) -> Mat:
-    if not doc.matrix.is_square or doc.matrix.nrows == 0:
-        raise ShapeError(
-            f"{doc.source}: matrix is {doc.matrix.nrows}x{doc.matrix.ncols}, "
-            "expected square and nonempty"
-        )
-    return doc.matrix
+    m = (parse_matrix_json if use_json else parse_matrix_text)(text, source).matrix
+    if not m.is_square or m.nrows == 0:
+        raise ShapeError(f"{source}: matrix is {m.nrows}x{m.ncols}, expected square and nonempty")
+    return m
 
 
 def _matrix_rows(m: Mat) -> list[list[str]]:
@@ -161,7 +155,7 @@ def _matrix_rows(m: Mat) -> list[list[str]]:
 
 
 def _cmd_jordan(args) -> int:
-    a = _require_square(_load_document(args.file, args.format))
+    a = _load_square(args.file, args.format)
     dec = jordan_form(a)
     if args.json:
         payload = {
@@ -184,7 +178,7 @@ def _cmd_jordan(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    a = _require_square(_load_document(args.file, args.format))
+    a = _load_square(args.file, args.format)
     try:
         lam = parse_rational(args.eigenvalue)
     except ValueError as exc:
@@ -203,8 +197,8 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_similar(args) -> int:
-    a = _require_square(_load_document(args.file_a, args.format))
-    b = _require_square(_load_document(args.file_b, args.format))
+    a = _load_square(args.file_a, args.format)
+    b = _load_square(args.file_b, args.format)
     if a.nrows != b.nrows:
         raise ShapeError(f"dimensions differ: {a.nrows} vs {b.nrows}")
     witness = similar(a, b)
@@ -219,7 +213,7 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_expm(args) -> int:
-    a = _require_square(_load_document(args.file, args.format))
+    a = _load_square(args.file, args.format)
     exp = matrix_exp(a)
     for lam, coeff in exp.terms:
         print(f"exp({lam}*t) *")
@@ -229,9 +223,9 @@ def _cmd_expm(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    a = _require_square(_load_document(args.file, args.format))
-    p = _require_square(_load_document(args.p, args.format))
-    j = _require_square(_load_document(args.j, args.format))
+    a = _load_square(args.file, args.format)
+    p = _load_square(args.p, args.format)
+    j = _load_square(args.j, args.format)
     n = a.nrows
     if p.nrows != n or j.nrows != n:
         raise ShapeError(f"matrices must all be {n}x{n}")
@@ -312,9 +306,12 @@ def run(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_IRRATIONAL
-    except (ShapeError, DimensionMismatch, ValueError) as exc:
+    except (ShapeError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

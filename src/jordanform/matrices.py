@@ -191,14 +191,7 @@ class Mat:
 
     def apply(self, vector: Iterable) -> Vector:
         """Matrix times column vector."""
-        v = as_vector(vector)
-        if len(v) != self._ncols:
-            raise ValueError("vector length does not match column count")
-        v_nums, v_den = _scaled(v)
-        return tuple(
-            Fraction(sum(map(mul, nums, v_nums)), den * v_den)
-            for nums, den in map(_scaled, self._rows)
-        )
+        return (self * Mat.from_columns([vector], nrows=self._ncols)).col(0)
 
     def transpose(self) -> "Mat":
         return Mat.from_columns(self._rows, nrows=self._ncols)

@@ -74,8 +74,7 @@ class CyclicDecomposition:
 
 
 def _require_operator(a: Mat):
-    if not a.is_square:
-        raise ValueError(f"operator must be square, got {a.nrows}x{a.ncols}")
+    a._require_square()
     if a.nrows == 0:
         raise ValueError("operator must act on a space of dimension >= 1")
 
@@ -153,33 +152,28 @@ def block_sizes(a: Mat) -> tuple[int, ...]:
 def block_generators(a: Mat) -> CyclicDecomposition:
     """Canonical chain generators, one per block.
 
-    Sweeps the distinct block sizes in descending order. At the largest
-    size n the generators are coset representatives of a basis of
-    N(A^n)/N(A^(n-1)); at each following size m the image of the chains
-    collected so far inside N(A^m)/N(A^(m-1)) is extended to a full basis
-    and the new representatives become the generators of height m.
-
-    Representatives are chosen by ``extend_independent`` over the canonical
-    kernel bases, which makes the output deterministic.
+    Sweeps the sizes s in descending order and carries ``tops``, the
+    height-s vector of each chain taller than s. The generators of height
+    s are the canonical kernel vectors of N(A^s) that ``extend_independent``
+    keeps beyond N(A^(s-1)) plus ``tops``. That span holds every taller
+    chain's whole tail, whose vectors below height s lie in N(A^(s-1)), and
+    the kept candidates depend only on the span, so the output is canonical.
+    Then A moves ``tops`` and the new generators down one height: a chain
+    of height h costs h - 1 products with a vector.
     """
     kernels, d = _d_values(a)
-
     chains: list[tuple[Vector, int]] = []
-    chain_vectors: list[list[Vector]] = []
+    tops: list[Vector] = []
     for size in range(len(kernels) - 1, 0, -1):
         count = d[size - 1] - d[size]
-        if count == 0:
-            continue
-        existing = list(kernels[size - 1])
-        for vectors in chain_vectors:
-            # Tail of each taller chain that already lies in N(A^size).
-            existing.extend(vectors[len(vectors) - size:])
-        new_generators = extend_independent(existing, kernels[size])
-        if len(new_generators) != count:
-            raise AssertionError(f"expected {count} generators of height {size}")
-        for g in new_generators:
-            chains.append((g, size))
-            chain_vectors.append(_chain(a, g, size))
+        if count:
+            new_generators = extend_independent(kernels[size - 1] + tops, kernels[size])
+            if len(new_generators) != count:
+                raise AssertionError(f"expected {count} generators of height {size}")
+            chains.extend((g, size) for g in new_generators)
+            tops += new_generators
+        if size > 1:
+            tops = [a.apply(v) for v in tops]
     return CyclicDecomposition(chains=tuple(chains))
 
 

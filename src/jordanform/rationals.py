@@ -21,8 +21,12 @@ _LITERAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def _coerce(value) -> Fraction:
-    """``value`` as a Fraction; Fractions pass through unchanged."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """``value`` as a Fraction; Fractions pass through, floats and bools raise TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{value!r} is a {type(value).__name__}, not an exact rational")
+    return Fraction(value)
 
 
 def parse_rational(text: str) -> Fraction:

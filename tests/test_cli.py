@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from jordanform import Mat
 from jordanform.cli import (
     EmptyInput,
     MatrixDocument,
+    EXIT_INTERNAL,
     ParseError,
     RaggedRows,
     format_matrix_json,
@@ -300,3 +304,30 @@ class TestErrorPaths:
         assert capsys.readouterr() == first
         assert run(["blocks", str(path)]) == 2
         assert "--eigenvalue" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    """Failures that are neither a negative answer nor bad input exit 5."""
+
+    @pytest.mark.parametrize("error", [AssertionError("A P != P J"), ValueError("bug")])
+    def test_exit_code_and_message(self, error, mixed_file, monkeypatch, capsys):
+        def failing(a):
+            raise error
+
+        monkeypatch.setattr(jordanform.cli, "jordan_form", failing)
+        assert run(["jordan", mixed_file, "--json"]) == EXIT_INTERNAL == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: internal: {type(error).__name__}: {error}\n"
+
+    def test_main_passes_the_exit_code_through(self, tmp_path):
+        path = tmp_path / "rect.txt"
+        path.write_text("1 2 3\n4 5 6\n")
+        src = str(Path(jordanform.cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "jordanform.cli", "jordan", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == f"error: {path}: matrix is 2x3, expected square and nonempty\n"

@@ -28,6 +28,7 @@ from jordanform import (
     jordan_form,
     jordan_structure,
     matrix_exp,
+    nilpotency_index,
     restrict,
     similar,
     validate_decomposition,
@@ -151,6 +152,29 @@ class TestGeneralizedEigenspace:
                 else:
                     with pytest.raises(DimensionMismatch):
                         generalized_eigenspace(a, lam, m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_eigenbasis_coordinates_carry_every_canonical_kernel(self, seed):
+        # Ground for one kernel walk on the full space feeding the chain
+        # generators: B's rows at F, each basis vector's last nonzero index,
+        # are the identity, so the coordinates of x in B are x's entries at F,
+        # and the canonical kernel bases of the restricted operator's powers
+        # lift through B to exactly those of (A - lambda I)^k.
+        a, _ = random_similar(random_block_spec(seed, max_dim=7), seed + 10_000)
+        for lam, mult in eigenvalues(a).pairs:
+            basis = generalized_eigenspace(a, lam, mult)
+            b = Mat.from_columns(basis, nrows=a.nrows)
+            free = [max(i for i, x in enumerate(v) if x) for v in basis]
+            assert Mat([b.row(f) for f in free]) == Mat.identity(mult)
+            restricted = restrict(a, basis)
+            image = a * b
+            assert restricted == Mat([image.row(f) for f in free])
+            nil = restricted - lam * Mat.identity(mult)
+            shifted = a - lam * Mat.identity(a.nrows)
+            for k in range(1, nilpotency_index(nil) + 1):
+                lifted = [b.apply(v) for v in (nil ** k).nullspace_basis()]
+                assert lifted == (shifted ** k).nullspace_basis()
 
     def test_matrix_products_stop_with_the_kernels(self, products):
         diagonalizable = block_diag([jordan_block(2, 1)] * 4 + [jordan_block(7, 1)])

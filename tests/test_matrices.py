@@ -101,6 +101,8 @@ class TestIntegerKernel:
         image = m.apply(v)
         assert image == fraction_product(m, Mat.from_columns([v], nrows=m.ncols)).col(0)
         assert all(type(x) is Fraction for x in image)
+        with pytest.raises(ValueError):
+            m.apply(v + [0])
 
     @given(wide_matrices())
     def test_rref(self, m):

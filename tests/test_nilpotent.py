@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jordanform.nilpotent
 
 from jordanform import (
     CyclicDecomposition,
@@ -13,7 +17,9 @@ from jordanform import (
     block_generators,
     block_sizes,
     chains_to_basis,
+    block_diag,
     d_sequence,
+    extend_independent,
     height,
     jordan_block,
     nilpotency_index,
@@ -135,6 +141,57 @@ class TestBlockGenerators:
             assert dec.heights == truth
             gens = [g for g, _ in dec.chains]
             assert validate_generators(a, gens) == block_sizes(a)
+
+
+def whole_tail_generators(a: Mat) -> tuple:
+    """Chain generators by the sweep that extends a basis of N(A^(s-1)) plus
+    the whole tail, the last s vectors, of every chain taller than s."""
+    kernels = [(a ** k).nullspace_basis() for k in range(nilpotency_index(a) + 1)]
+    chains, walks = [], []
+    for size in range(len(kernels) - 1, 0, -1):
+        existing = list(kernels[size - 1])
+        for walk in walks:
+            existing.extend(walk[len(walk) - size:])
+        for g in extend_independent(existing, kernels[size]):
+            walk = [g]
+            while len(walk) < size:
+                walk.append(a.apply(walk[-1]))
+            chains.append((g, size))
+            walks.append(walk)
+    return tuple(chains)
+
+
+class TestBoundaryVectorSweep:
+    """``block_generators`` extends N(A^(s-1)) by the height-s vector of
+    each taller chain only; the span, and so every generator, is the one
+    the whole tails give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), max_dim=st.integers(1, 8))
+    def test_matches_the_whole_tail_sweep(self, seed, max_dim):
+        a, _ = random_nilpotent(seed, max_dim)
+        assert block_generators(a).chains == whole_tail_generators(a)
+
+    def test_existing_holds_one_vector_per_taller_chain(self, monkeypatch):
+        sizes, applies = [], []
+        extend, apply = jordanform.nilpotent.extend_independent, Mat.apply
+
+        def recording_extend(existing, candidates):
+            sizes.append(len(existing))
+            return extend(existing, candidates)
+
+        def counting_apply(self, vector):
+            applies.append(vector)
+            return apply(self, vector)
+
+        monkeypatch.setattr(jordanform.nilpotent, "extend_independent", recording_extend)
+        monkeypatch.setattr(Mat, "apply", counting_apply)
+        a = block_diag([jordan_block(0, 3), jordan_block(0, 2)])
+        assert block_generators(a).heights == (3, 2)
+        # N(A^2) has dimension 4 at size 3; N(A) plus one top at size 2.
+        assert sizes == [4, 3]
+        # h - 1 products per chain of height h.
+        assert len(applies) == 2 + 1
 
 
 class TestChainsToBasis:

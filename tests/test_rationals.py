@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jordanform import parse_rational
+from jordanform import Mat, Poly, parse_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -57,3 +57,15 @@ def test_total_order_by_cross_multiplication():
         Fraction(1, 3),
         Fraction(1, 2),
     ]
+
+
+def test_floats_and_bools_are_refused():
+    # Mat([[0.1]]) would otherwise hold 3602879701896397/36028797018963968.
+    for entry in (0.1, 2.0, True):
+        with pytest.raises(TypeError):
+            Mat([[entry]])
+        with pytest.raises(TypeError):
+            Poly([1, entry])
+    with pytest.raises(TypeError):
+        Mat([[1]]) * 0.5
+    assert Mat([[1]]) * Fraction(1, 2) == Mat([["1/2"]])
