@@ -13,7 +13,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .jordan import (
     DimensionMismatch,
@@ -66,13 +65,7 @@ class ShapeError(Exception):
     """Input matrices with unusable dimensions for the requested command."""
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
-    matrix: Mat
-    source: str
-
-
-def parse_matrix_text(text: str, source: str = "<input>") -> MatrixDocument:
+def parse_matrix_text(text: str, source: str = "<input>") -> Mat:
     """Whitespace-separated rational tokens, one row per line, ``#`` comments."""
     rows = []
     width = None
@@ -98,10 +91,10 @@ def parse_matrix_text(text: str, source: str = "<input>") -> MatrixDocument:
         rows.append(row)
     if not rows:
         raise EmptyInput("no matrix rows found", source)
-    return MatrixDocument(matrix=Mat(rows), source=source)
+    return Mat(rows)
 
 
-def parse_matrix_json(text: str, source: str = "<input>") -> MatrixDocument:
+def parse_matrix_json(text: str, source: str = "<input>") -> Mat:
     """Object with key ``matrix``: array of arrays of ints or rational strings."""
     try:
         payload = json.loads(text)
@@ -128,12 +121,7 @@ def parse_matrix_json(text: str, source: str = "<input>") -> MatrixDocument:
             except ValueError:
                 raise ParseError(f"bad rational entry {entry!r}", source, i) from None
         rows.append(row)
-    return MatrixDocument(matrix=Mat(rows), source=source)
-
-
-def format_matrix_json(m: Mat) -> str:
-    """Serialize a matrix in the JSON input format (rationals as strings)."""
-    return json.dumps({"matrix": _matrix_rows(m)})
+    return Mat(rows)
 
 
 def _load_square(path: str, fmt: str | None) -> Mat:
@@ -144,7 +132,7 @@ def _load_square(path: str, fmt: str | None) -> Mat:
         with open(path, "r", encoding="utf-8") as handle:
             text, source = handle.read(), path
     use_json = fmt == "json" or (fmt is None and path.endswith(".json"))
-    m = (parse_matrix_json if use_json else parse_matrix_text)(text, source).matrix
+    m = (parse_matrix_json if use_json else parse_matrix_text)(text, source)
     if not m.is_square or m.nrows == 0:
         raise ShapeError(f"{source}: matrix is {m.nrows}x{m.ncols}, expected square and nonempty")
     return m

@@ -21,7 +21,7 @@ gives (``jordanform.testkit`` keeps that arithmetic as the oracle).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -193,9 +193,6 @@ class Mat:
         """Matrix times column vector."""
         return (self * Mat.from_columns([vector], nrows=self._ncols)).col(0)
 
-    def transpose(self) -> "Mat":
-        return Mat.from_columns(self._rows, nrows=self._ncols)
-
     def augment(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("row counts differ")
@@ -215,7 +212,7 @@ class Mat:
         ``m.rref()[0]``.
         """
         rows = list(self._rows)
-        pivots, _ = _eliminate(rows, self._ncols)
+        pivots = _eliminate(rows, self._ncols)
         return Mat(rows, ncols=self._ncols), pivots
 
     def rank(self) -> int:
@@ -230,13 +227,6 @@ class Mat:
         """
         return _kernel(*self.rref())
 
-    def det(self) -> Fraction:
-        self._require_square()
-        pivots, scalings = _eliminate(list(self._rows), self._ncols)
-        if len(pivots) < self.nrows:
-            return Fraction(0)
-        return Fraction(prod(d for _, d in scalings), prod(u for u, _ in scalings))
-
     def inverse(self) -> "Mat":
         self._require_square()
         return solve_right(self, Mat.identity(self.nrows))
@@ -250,14 +240,9 @@ class Mat:
             raise ValueError("matrix shapes differ")
 
 
-def _eliminate(
-    rows: list[Sequence[Fraction]], ncols: int
-) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+def _eliminate(rows: list[Sequence[Fraction]], ncols: int) -> tuple[int, ...]:
     """Replace ``rows`` in place by their RREF, pivoting on the first nonzero
-    entry scanning down. Returns the pivot columns and the row scalings, in
-    order: each ``(u, d)`` multiplied one row by u/d (a swap counts as
-    (-1, 1)). The RREF of a square full-rank input is I, so its determinant
-    is the reciprocal of the product of the scalings.
+    entry scanning down, and return the pivot columns.
 
     The work runs on primitive integer rows: each row is scaled to integers
     and divided by its content, and the update of row i by pivot row r with
@@ -268,12 +253,10 @@ def _eliminate(
     """
     nr = len(rows)
     ints = []
-    scalings = []
     for row in rows:
-        nums, den = _scaled(row)
+        nums, _ = _scaled(row)
         g = gcd(*nums) or 1
         ints.append([x // g for x in nums])
-        scalings.append((den, g))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -282,9 +265,7 @@ def _eliminate(
         pivot_row = next((i for i in range(r, nr) if ints[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
-            scalings.append((-1, 1))
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
         top = ints[r]
         p = top[c]
         for i in range(nr):
@@ -293,17 +274,15 @@ def _eliminate(
                 row = [p * a - f * b for a, b in zip(ints[i], top)]
                 g = gcd(*row) or 1
                 ints[i] = [x // g for x in row]
-                scalings.append((p, g))
         pivots.append(c)
         r += 1
     for i, c in enumerate(pivots):
         p = ints[i][c]
         rows[i] = [Fraction(x, p) for x in ints[i]]
-        scalings.append((1, p))
     zero = Fraction(0)
     for i in range(r, nr):
         rows[i] = [zero] * ncols
-    return tuple(pivots), scalings
+    return tuple(pivots)
 
 
 def _kernel(reduced: Mat, pivots: tuple[int, ...]) -> list[Vector]:

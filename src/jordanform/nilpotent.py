@@ -41,11 +41,11 @@ class DSequence:
     """
 
     values: tuple[int, ...]
-    index_of_nilpotency: int
 
-    def __post_init__(self):
-        if len(self.values) != self.index_of_nilpotency + 1:
-            raise ValueError("values must cover indices 0..N")
+    @property
+    def index_of_nilpotency(self) -> int:
+        """Smallest N >= 1 with A^N = 0: the last index of ``values``."""
+        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def height(a: Mat, v) -> int:
 
 def d_sequence(a: Mat) -> DSequence:
     """Rank-difference path: d_i = rank(A^i) - rank(A^(i+1)), i = 0..N."""
-    kernels, d = _d_values(a)
-    return DSequence(values=d, index_of_nilpotency=len(kernels) - 1)
+    return DSequence(values=_d_values(a)[1])
 
 
 def block_sizes(a: Mat) -> tuple[int, ...]:

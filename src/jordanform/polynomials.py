@@ -121,12 +121,6 @@ class Poly:
                 rem[k + j] -= coeff * b
         return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Poly":
         """Exact formal derivative.
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_LITERAL = re.compile(r"-?\d+(?:/\d+)?")
+_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _coerce(value) -> Fraction:
@@ -32,8 +32,8 @@ def _coerce(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse ``a`` or ``a/b`` (optional leading ``-``) into a Fraction.
 
-    Rejects anything outside the grammar, including whitespace, floats
-    and a zero denominator.
+    Rejects anything outside the grammar, including whitespace, non-ASCII
+    digits, floats and a zero denominator.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)

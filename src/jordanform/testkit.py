@@ -147,10 +147,10 @@ def fraction_product(a: Mat, b: Mat) -> Mat:
 
 
 def fraction_rref(m: Mat) -> tuple[Mat, tuple[int, ...], Fraction]:
-    """RREF, pivot columns and determinant by Gauss-Jordan elimination over
-    Fractions, pivoting on the first nonzero entry scanning down; cross-check
-    for the integer elimination behind ``Mat.rref`` and ``Mat.det``. The
-    determinant is the signed product of the pivots, 0 unless m is square
+    """RREF, pivot columns and signed pivot product by Gauss-Jordan
+    elimination over Fractions, pivoting on the first nonzero entry scanning
+    down; cross-check for the integer elimination behind ``Mat.rref``. The
+    product carries a sign flip per row swap and is 0 unless m is square
     with full rank.
     """
     rows = [list(m.row(i)) for i in range(m.nrows)]

@@ -11,11 +11,10 @@ import jordanform.cli
 from jordanform import Mat
 from jordanform.cli import (
     EmptyInput,
-    MatrixDocument,
     EXIT_INTERNAL,
     ParseError,
     RaggedRows,
-    format_matrix_json,
+    _matrix_rows,
     parse_matrix_json,
     parse_matrix_text,
     run,
@@ -26,16 +25,14 @@ from helpers import CONJUGATE_5X5_A, CONJUGATE_5X5_B, MIXED_4X4, ROTATION_2X2
 
 class TestParseText:
     def test_simple(self):
-        doc = parse_matrix_text("0 1\n0 0\n")
-        assert doc.matrix == Mat([[0, 1], [0, 0]])
+        assert parse_matrix_text("0 1\n0 0\n") == Mat([[0, 1], [0, 0]])
 
     def test_fractions_and_negatives(self):
-        doc = parse_matrix_text("1/2 -3\n0 4\n")
-        assert doc.matrix == Mat([["1/2", -3], [0, 4]])
+        assert parse_matrix_text("1/2 -3\n0 4\n") == Mat([["1/2", -3], [0, 4]])
 
     def test_comments_and_blank_lines(self):
-        doc = parse_matrix_text("# header\n\n1 0\n  # indented comment\n0 1\n")
-        assert doc.matrix == Mat.identity(2)
+        text = "# header\n\n1 0\n  # indented comment\n0 1\n"
+        assert parse_matrix_text(text) == Mat.identity(2)
 
     def test_ragged_rows(self):
         with pytest.raises(RaggedRows):
@@ -59,12 +56,11 @@ class TestParseText:
 
 class TestParseJson:
     def test_integer_entries(self):
-        doc = parse_matrix_json('{"matrix": [[0, 1], [0, 0]]}')
-        assert doc.matrix == Mat([[0, 1], [0, 0]])
+        assert parse_matrix_json('{"matrix": [[0, 1], [0, 0]]}') == Mat([[0, 1], [0, 0]])
 
     def test_string_entries(self):
-        doc = parse_matrix_json('{"matrix": [["1/2", "-3"], ["0", "4"]]}')
-        assert doc.matrix == Mat([["1/2", -3], [0, 4]])
+        m = parse_matrix_json('{"matrix": [["1/2", "-3"], ["0", "4"]]}')
+        assert m == Mat([["1/2", -3], [0, 4]])
 
     def test_ragged(self):
         with pytest.raises(RaggedRows):
@@ -83,9 +79,9 @@ class TestParseJson:
             parse_matrix_json('{"rows": [[1]]}')
 
     def test_round_trip(self):
-        doc = MatrixDocument(matrix=Mat([["1/2", -3], [0, 4]]), source="x")
-        again = parse_matrix_json(format_matrix_json(doc.matrix))
-        assert again.matrix == doc.matrix
+        # The rows `jordan --json` prints for J and P read back as input.
+        m = Mat([["1/2", -3], [0, 4]])
+        assert parse_matrix_json(json.dumps({"matrix": _matrix_rows(m)})) == m
 
 
 def write_matrix(path, m: Mat) -> str:
@@ -141,7 +137,7 @@ class TestJordanCommand:
 
     def test_json_input_format(self, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(format_matrix_json(MIXED_4X4))
+        path.write_text(json.dumps({"matrix": _matrix_rows(MIXED_4X4)}))
         assert run(["jordan", str(path)]) == 0
         assert "eigenvalue 2" in capsys.readouterr().out
 
@@ -274,6 +270,14 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: invalid JSON")
+
+    def test_non_ascii_digits_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("\uff13\n", encoding="utf-8")  # FULLWIDTH DIGIT THREE
+        assert run(["jordan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad rational token" in captured.err
 
     def test_missing_file(self, capsys):
         assert run(["jordan", "/no/such/file.txt"]) == 2

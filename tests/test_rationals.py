@@ -25,7 +25,11 @@ def test_parse_accepts_grammar(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "1.5", "+3", "1 /2", "1/ 2", "3/0", "a", "1/-2", "1/2/3", " 1"]
+    "text",
+    [
+        "", "1.5", "+3", "1 /2", "1/ 2", "3/0", "a", "1/-2", "1/2/3", " 1",
+        "\uff13", "\u0663/\u0664",  # non-ASCII digits, which Fraction() accepts
+    ],
 )
 def test_parse_rejects_non_grammar(text):
     with pytest.raises(ValueError):
