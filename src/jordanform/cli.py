@@ -30,7 +30,7 @@ from .jordan import (
 from .matrices import Mat, _shift
 from .nilpotent import block_sizes, d_sequence
 from .polynomials import divide_out
-from .rationals import parse_rational
+from .rationals import _coerce, parse_rational
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -65,33 +65,38 @@ class ShapeError(Exception):
     """Input matrices with unusable dimensions for the requested command."""
 
 
-def parse_matrix_text(text: str, source: str = "<input>") -> Mat:
-    """Whitespace-separated rational tokens, one row per line, ``#`` comments."""
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        row = []
-        for match in re.finditer(r"\S+", line):
-            token = match.group()
-            try:
-                row.append(parse_rational(token))
-            except ValueError:
-                raise ParseError(
-                    f"bad rational token {token!r}", source, lineno, match.start() + 1
-                ) from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise RaggedRows(
-                f"row has {len(row)} entries, expected {width}", source, lineno
-            )
-        rows.append(row)
-    if not rows:
+_TOKEN = re.compile(r"[^ \t\r\v\f]+")
+
+
+def _build_matrix(rows: list[tuple[int, list]], source: str) -> Mat:
+    """The Mat of ``rows``, each ``(line, [(entry, column), ...])``, with every
+    entry through ``_coerce``; ``column`` may be None."""
+    if not any(entries for _, entries in rows):
         raise EmptyInput("no matrix rows found", source)
-    return Mat(rows)
+    width = len(rows[0][1])
+    out = []
+    for line, entries in rows:
+        row = []
+        for entry, column in entries:
+            try:
+                row.append(_coerce(entry))
+            except (TypeError, ValueError):
+                raise ParseError(f"bad rational token {entry!r}", source, line, column) from None
+        if len(row) != width:
+            raise RaggedRows(f"row has {len(row)} entries, expected {width}", source, line)
+        out.append(row)
+    return Mat(out)
+
+
+def parse_matrix_text(text: str, source: str = "<input>") -> Mat:
+    """One row per line (rows end at ``\\n``), entries separated by ASCII
+    whitespace, ``#`` comments."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        entries = [(match.group(), match.start() + 1) for match in _TOKEN.finditer(line)]
+        if entries and not entries[0][0].startswith("#"):
+            rows.append((lineno, entries))
+    return _build_matrix(rows, source)
 
 
 def parse_matrix_json(text: str, source: str = "<input>") -> Mat:
@@ -105,23 +110,9 @@ def parse_matrix_json(text: str, source: str = "<input>") -> Mat:
     raw = payload["matrix"]
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ParseError('"matrix" must be an array of arrays', source)
-    if not raw or not any(raw):
-        raise EmptyInput("no matrix rows found", source)
-    width = len(raw[0])
-    rows = []
-    for i, raw_row in enumerate(raw, start=1):
-        if len(raw_row) != width:
-            raise RaggedRows(f"row has {len(raw_row)} entries, expected {width}", source, i)
-        row = []
-        for entry in raw_row:
-            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                raise ParseError(f"entry {entry!r} is not an integer or string", source, i)
-            try:
-                row.append(parse_rational(str(entry)))
-            except ValueError:
-                raise ParseError(f"bad rational entry {entry!r}", source, i) from None
-        rows.append(row)
-    return Mat(rows)
+    return _build_matrix(
+        [(i, [(entry, None) for entry in row]) for i, row in enumerate(raw, start=1)], source
+    )
 
 
 def _load_square(path: str, fmt: str | None) -> Mat:
@@ -167,11 +158,7 @@ def _cmd_jordan(args) -> int:
 
 def _cmd_blocks(args) -> int:
     a = _load_square(args.file, args.format)
-    try:
-        lam = parse_rational(args.eigenvalue)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lam = args.eigenvalue
     _, mult = divide_out(char_poly(a), lam)
     if mult == 0:
         raise ShapeError(f"{lam} is not an eigenvalue")
@@ -245,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_blocks = sub.add_parser("blocks", help="invariants of one eigenvalue")
     p_blocks.add_argument("file")
-    p_blocks.add_argument("--eigenvalue", required=True, metavar="Q")
+    p_blocks.add_argument("--eigenvalue", required=True, metavar="Q", type=parse_rational)
     add_common(p_blocks)
     p_blocks.set_defaults(handler=_cmd_blocks)
 

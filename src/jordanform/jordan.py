@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import index
 
 from .matrices import (
     Mat,
@@ -32,6 +33,7 @@ from .matrices import (
 )
 from .nilpotent import block_generators, chains_to_basis
 from .polynomials import Poly, rational_roots
+from .rationals import _coerce
 
 
 class IrrationalSpectrum(Exception):
@@ -57,7 +59,7 @@ class Spectrum:
     pairs: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted((Fraction(v), int(m)) for v, m in self.pairs))
+        normalized = tuple(sorted((_coerce(v), index(m)) for v, m in self.pairs))
         if len({v for v, _ in normalized}) != len(normalized):
             raise ValueError("eigenvalues must be distinct")
         object.__setattr__(self, "pairs", normalized)
@@ -102,10 +104,8 @@ def char_poly(a: Mat) -> Poly:
     Each step divides by an integer only, so the computation is exact
     over the rationals.
     """
-    a._require_square()
+    a._require_operator()
     n = a.nrows
-    if n == 0:
-        raise ValueError("characteristic polynomial needs dimension >= 1")
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     am = a  # A M_0, with M_0 = I
     for k in range(1, n + 1):
@@ -136,7 +136,7 @@ def generalized_eigenspace(a: Mat, eigenvalue, multiplicity: int) -> list[Vector
     this is the generalized eigenspace, but a smaller value can pass too: one
     3x3 block at lambda with multiplicity 2 gives the 2-dimensional kernel.
     """
-    lam = Fraction(eigenvalue)
+    lam = _coerce(eigenvalue)
     basis = _kernel_tower(_shift(a, lam), multiplicity)[-1]
     if len(basis) != multiplicity:
         raise DimensionMismatch(

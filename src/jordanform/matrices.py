@@ -46,8 +46,9 @@ class Mat:
     """Immutable dense matrix of Fractions.
 
     Rows are given as any iterable of iterables; entries may be ints,
-    Fractions or strings such as ``"1/2"``. Operations allocate fresh
-    matrices, so instances are safe to share.
+    Fractions or strings such as ``"1/2"`` in the ``parse_rational``
+    grammar. Operations allocate fresh matrices, so instances are safe to
+    share.
 
     >>> m = Mat([[1, 2], ["1/2", 0]])
     >>> m[1, 0]
@@ -234,6 +235,11 @@ class Mat:
     def _require_square(self):
         if not self.is_square:
             raise ValueError(f"matrix is {self.nrows}x{self._ncols}, expected square")
+
+    def _require_operator(self):
+        self._require_square()
+        if self.nrows == 0:
+            raise ValueError("operator must act on a space of dimension >= 1")
 
     def _require_same_shape(self, other: "Mat"):
         if self.nrows != other.nrows or self._ncols != other._ncols:

@@ -10,6 +10,8 @@ identical decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
+
 from .matrices import (
     Mat, Vector, _kernel_tower, as_vector, block_diag, extend_independent, jordan_block
 )
@@ -62,7 +64,7 @@ class CyclicDecomposition:
     def __post_init__(self):
         normalized = tuple(
             sorted(
-                ((as_vector(g), int(h)) for g, h in self.chains),
+                ((as_vector(g), index(h)) for g, h in self.chains),
                 key=lambda c: -c[1],
             )
         )
@@ -73,15 +75,9 @@ class CyclicDecomposition:
         return tuple(h for _, h in self.chains)
 
 
-def _require_operator(a: Mat):
-    a._require_square()
-    if a.nrows == 0:
-        raise ValueError("operator must act on a space of dimension >= 1")
-
-
 def _d_values(a: Mat) -> tuple[list[list[Vector]], tuple[int, ...]]:
     """Kernel tower of nilpotent A and d_i = rank(A^i) - rank(A^(i+1)), i = 0..N."""
-    _require_operator(a)
+    a._require_operator()
     kernels = _kernel_tower(a, a.nrows)
     if len(kernels[-1]) != a.nrows:
         raise NotNilpotent(f"A^{a.nrows} is nonzero")
@@ -130,7 +126,7 @@ def nilpotency_index(a: Mat) -> int:
 
 def height(a: Mat, v) -> int:
     """Smallest h >= 1 with A^h v = 0, for nilpotent A and v != 0."""
-    _require_operator(a)
+    a._require_operator()
     return len(_orbit(a, v))
 
 
@@ -182,7 +178,7 @@ def chains_to_basis(a: Mat, dec: CyclicDecomposition) -> tuple[Mat, Mat]:
     Per chain of height h the columns are ``A^(h-1) g, ..., A g, g``, so
     each block of J carries 1 on the superdiagonal and 0 on the diagonal.
     """
-    _require_operator(a)
+    a._require_operator()
     columns: list[Vector] = []
     for g, h in dec.chains:
         if h < 1:
@@ -203,7 +199,7 @@ def validate_generators(a: Mat, generators) -> tuple[int, ...]:
     Walks each generator's chain once: its length is the height, and all
     chain vectors together must form a basis of the whole space.
     """
-    _require_operator(a)
+    a._require_operator()
     chains = [_orbit(a, g) for g in generators]
     _basis([v for chain in chains for v in chain], a.nrows, NotABasis)
     return tuple(sorted(map(len, chains), reverse=True))

@@ -21,9 +21,15 @@ _LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _coerce(value) -> Fraction:
-    """``value`` as a Fraction; Fractions pass through, floats and bools raise TypeError."""
+    """``value`` as a Fraction: the one conversion of an outside scalar.
+
+    Fractions pass through, strings go to ``parse_rational``, floats and
+    bools raise TypeError, and anything else goes to ``Fraction()``.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, (float, bool)):
         raise TypeError(f"{value!r} is a {type(value).__name__}, not an exact rational")
     return Fraction(value)

@@ -14,10 +14,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .jordan import ExpMatrix, _series_to_poly_matrix, jordan_form
 from .matrices import Mat, block_diag, jordan_block, solve_right
 from .nilpotent import NotNilpotent
+from .rationals import _coerce
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class BlockSpec:
         items = self.pairs.items() if isinstance(self.pairs, dict) else self.pairs
         normalized = tuple(
             sorted(
-                (Fraction(v), tuple(sorted((int(s) for s in sizes), reverse=True)))
+                (_coerce(v), tuple(sorted(map(index, sizes), reverse=True)))
                 for v, sizes in items
             )
         )
@@ -58,7 +60,7 @@ def weyr_oracle(a: Mat, eigenvalue) -> tuple[int, ...]:
     the value is not an eigenvalue.
     """
     a._require_square()
-    shifted = a - Fraction(eigenvalue) * Mat.identity(a.nrows)
+    shifted = a - _coerce(eigenvalue) * Mat.identity(a.nrows)
     ranks = [a.nrows]
     power = shifted
     while True:

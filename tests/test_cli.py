@@ -26,6 +26,12 @@ from helpers import CONJUGATE_5X5_A, CONJUGATE_5X5_B, MIXED_4X4, ROTATION_2X2
 class TestParseText:
     def test_simple(self):
         assert parse_matrix_text("0 1\n0 0\n") == Mat([[0, 1], [0, 0]])
+        # Rows end at \n only, and only ASCII whitespace separates entries.
+        assert parse_matrix_text("1 2\r\n3 4\r\n") == Mat([[1, 2], [3, 4]])
+        assert parse_matrix_text("1 2\x0c3 4") == Mat([[1, 2, 3, 4]])
+        for text in ("1\u30002\n3 4", "1 2\u20283 4"):
+            with pytest.raises(ParseError):
+                parse_matrix_text(text)
 
     def test_fractions_and_negatives(self):
         assert parse_matrix_text("1/2 -3\n0 4\n") == Mat([["1/2", -3], [0, 4]])
@@ -66,9 +72,10 @@ class TestParseJson:
         with pytest.raises(RaggedRows):
             parse_matrix_json('{"matrix": [[1], [2, 3]]}')
 
-    def test_rejects_floats(self):
+    @pytest.mark.parametrize("entry", ["0.5", "true", "null", "[1]", '"1.5"'])
+    def test_rejects_floats(self, entry):
         with pytest.raises(ParseError):
-            parse_matrix_json('{"matrix": [[0.5]]}')
+            parse_matrix_json(f'{{"matrix": [[{entry}]]}}')
 
     def test_rejects_bad_json(self):
         with pytest.raises(ParseError):

@@ -85,6 +85,12 @@ class TestCharPoly:
         m = Mat([["1/2", 0], [0, "1/3"]])
         assert char_poly(m) == linear(Fraction(1, 2)) * linear(Fraction(1, 3))
 
+    def test_empty_operator_is_refused(self):
+        empty = Mat([], ncols=0)
+        for f in (char_poly, jordan_form, matrix_exp):
+            with pytest.raises(ValueError):
+                f(empty)
+
     def test_recursion_starts_from_a(self, products):
         for n in range(1, 6):
             products.clear()

@@ -1,10 +1,14 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jordanform import Mat, Poly, parse_rational
+from jordanform import Mat, Poly, Spectrum, generalized_eigenspace, parse_rational
+from jordanform.cli import ParseError, parse_matrix_json
+from jordanform.nilpotent import CyclicDecomposition
+from jordanform.testkit import BlockSpec
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -28,12 +32,20 @@ def test_parse_accepts_grammar(text, expected):
     "text",
     [
         "", "1.5", "+3", "1 /2", "1/ 2", "3/0", "a", "1/-2", "1/2/3", " 1",
+        "1e3", "1_000",
         "\uff13", "\u0663/\u0664",  # non-ASCII digits, which Fraction() accepts
     ],
 )
 def test_parse_rejects_non_grammar(text):
+    # Every string entry, in the library or the CLI, goes through parse_rational.
     with pytest.raises(ValueError):
         parse_rational(text)
+    with pytest.raises(ValueError):
+        Mat([[text]])
+    with pytest.raises(ValueError):
+        Poly([text])
+    with pytest.raises(ParseError):
+        parse_matrix_json(json.dumps({"matrix": [[text]]}))
 
 
 def test_stored_reduced_with_positive_denominator():
@@ -73,3 +85,19 @@ def test_floats_and_bools_are_refused():
     with pytest.raises(TypeError):
         Mat([[1]]) * 0.5
     assert Mat([[1]]) * Fraction(1, 2) == Mat([["1/2"]])
+    with pytest.raises(TypeError):
+        generalized_eigenspace(Mat([[1]]), 1.0, 1)
+    for pairs in (((0.5, 1),), ((True, 1),)):
+        with pytest.raises(TypeError):
+            Spectrum(pairs)
+
+
+def test_counts_must_be_integers():
+    # int() would truncate a multiplicity of 2.7 to 2 and read a height "1" as 1.
+    for count in (2.7, 1.5, "1"):
+        with pytest.raises(TypeError):
+            Spectrum(((1, count),))
+        with pytest.raises(TypeError):
+            CyclicDecomposition(chains=(((1,), count),))
+        with pytest.raises(TypeError):
+            BlockSpec(pairs=((1, (count,)),))
