@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import index
 
 from .matrices import (
     Mat,
@@ -33,7 +32,7 @@ from .matrices import (
 )
 from .nilpotent import block_generators, chains_to_basis
 from .polynomials import Poly, rational_roots
-from .rationals import _coerce
+from .rationals import _coerce, _count
 
 
 class IrrationalSpectrum(Exception):
@@ -59,7 +58,7 @@ class Spectrum:
     pairs: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted((_coerce(v), index(m)) for v, m in self.pairs))
+        normalized = tuple(sorted((_coerce(v), _count(m)) for v, m in self.pairs))
         if len({v for v, _ in normalized}) != len(normalized):
             raise ValueError("eigenvalues must be distinct")
         object.__setattr__(self, "pairs", normalized)
@@ -136,7 +135,7 @@ def generalized_eigenspace(a: Mat, eigenvalue, multiplicity: int) -> list[Vector
     this is the generalized eigenspace, but a smaller value can pass too: one
     3x3 block at lambda with multiplicity 2 gives the 2-dimensional kernel.
     """
-    lam = _coerce(eigenvalue)
+    lam, multiplicity = _coerce(eigenvalue), _count(multiplicity)
     basis = _kernel_tower(_shift(a, lam), multiplicity)[-1]
     if len(basis) != multiplicity:
         raise DimensionMismatch(

@@ -9,7 +9,7 @@ on this determinism.
 Matrices store and return reduced Fractions, but the two inner loops run on
 Python ints, which pay no gcd per scalar operation. A product scales each
 left row and each right column to integer numerators over one denominator
-(``_scaled``) and forms each entry as one Fraction of an integer dot
+(``rationals._scaled``) and forms each entry as one Fraction of an integer dot
 product. Row reduction (``_eliminate``) keeps each row as a primitive
 integer vector, a nonzero multiple of the row that elimination over
 Fractions would hold, and divides by the pivots only at the end. Exact
@@ -21,11 +21,11 @@ gives (``jordanform.testkit`` keeps that arithmetic as the oracle).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .rationals import _coerce
+from .rationals import _coerce, _scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -325,13 +325,6 @@ def _kernel_tower(a: Mat, limit: int) -> list[list[Vector]]:
     return kernels
 
 
-def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``v`` over the lcm of its denominators."""
-    ratios = [x.as_integer_ratio() for x in v]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
 def _shift(a: Mat, c: Fraction) -> Mat:
     """A - cI for square A, editing only the diagonal."""
     a._require_square()
@@ -373,8 +366,6 @@ def solve_right(b: Mat, c: Mat) -> Mat:
     Raises RankDeficient when b's columns are dependent, NoSolution when a
     column of c lies outside the column span of b.
     """
-    if b.nrows != c.nrows:
-        raise ValueError("row counts differ")
     k = b.ncols
     reduced, pivots = b.augment(c).rref()
     if sum(1 for p in pivots if p < k) < k:
@@ -394,11 +385,8 @@ def extend_independent(
     candidates at pivot columns of the RREF of all vectors stacked as
     columns, so the result is deterministic.
     """
-    existing = [as_vector(v) for v in existing]
-    vectors = existing + [as_vector(v) for v in candidates]
-    if not vectors:
+    if not existing and not candidates:
         return []
-    if any(len(v) != len(vectors[0]) for v in vectors):
-        raise ValueError("vectors must share one dimension")
-    _, pivots = Mat.from_columns(vectors).rref()
-    return [vectors[p] for p in pivots if p >= len(existing)]
+    stacked = Mat.from_columns([*existing, *candidates])
+    _, pivots = stacked.rref()
+    return [stacked.col(p) for p in pivots if p >= len(existing)]

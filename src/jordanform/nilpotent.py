@@ -10,11 +10,11 @@ identical decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
 from .matrices import (
     Mat, Vector, _kernel_tower, as_vector, block_diag, extend_independent, jordan_block
 )
+from .rationals import _count
 
 
 class NotNilpotent(Exception):
@@ -64,7 +64,7 @@ class CyclicDecomposition:
     def __post_init__(self):
         normalized = tuple(
             sorted(
-                ((as_vector(g), index(h)) for g, h in self.chains),
+                ((as_vector(g), _count(h)) for g, h in self.chains),
                 key=lambda c: -c[1],
             )
         )

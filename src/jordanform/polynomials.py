@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
-from .rationals import _coerce
+from .rationals import _coerce, _scaled
 
 
 class Poly:
@@ -21,8 +22,6 @@ class Poly:
     Poly([3, 2])
     >>> str(p)
     'x^2 + 3*x + 1'
-    >>> divmod(p * Poly([-2, 1]), Poly([-2, 1]))[0] == p
-    True
     """
 
     __slots__ = ("coeffs",)
@@ -104,23 +103,6 @@ class Poly:
             out = out * self
         return out
 
-    def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        for k in range(len(quo) - 1, -1, -1):
-            coeff = rem[k + other.degree] / lead
-            if coeff == 0:
-                continue
-            quo[k] = coeff
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= coeff * b
-        return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
-
     def derivative(self) -> "Poly":
         """Exact formal derivative.
 
@@ -156,13 +138,22 @@ X = Poly((0, 1))
 
 
 def divide_out(p: Poly, r) -> tuple[Poly, int]:
-    """``(p / (x - r)^m, m)`` with m the multiplicity of r as a root of p."""
+    """``(p / (x - r)^m, m)`` with m the multiplicity of r as a root of p.
+
+    Each factor ``x - r`` comes off by synthetic division: the running
+    Horner sums at r, highest degree first, are the quotient's coefficients
+    and the last sum is the remainder.
+
+    >>> divide_out(Poly([1, 3, 1]) * Poly([-2, 1]) ** 2, 2)
+    (Poly([1, 3, 1]), 2)
+    """
     r = _coerce(r)
     m = 0
     while p.degree >= 1 and p(r) == 0:
-        p, rem = divmod(p, Poly([-r, 1]))
-        if not rem.is_zero:
+        *sums, rem = accumulate(reversed(p.coeffs), lambda acc, c: acc * r + c)
+        if rem:
             raise AssertionError(f"x - {r} leaves remainder {rem}")
+        p = Poly(reversed(sums))
         m += 1
     return p, m
 
@@ -187,7 +178,8 @@ def rational_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
 
     Candidates come from clearing denominators to an integer polynomial and
     testing ``a/b`` with ``a`` dividing the constant term and ``b`` dividing
-    the leading coefficient; multiplicities by repeated exact division.
+    the leading coefficient; multiplicities come from ``divide_out``, which
+    removes each factor ``x - r`` by synthetic division.
     """
     if p.degree < 1 or not p.is_monic:
         raise ValueError("rational_roots requires a monic polynomial of degree >= 1")
@@ -198,8 +190,7 @@ def rational_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     work, roots[Fraction(0)] = divide_out(p, 0)
 
     if work.degree >= 1:
-        den = math.lcm(*(c.denominator for c in work.coeffs))
-        ints = [int(c * den) for c in work.coeffs]
+        ints, _ = _scaled(work.coeffs)
         candidates = sorted(
             {
                 sign * Fraction(a, b)

@@ -8,12 +8,18 @@ expected for exact arithmetic.
 The canonical text form is ``a`` or ``a/b`` with an optional leading minus
 sign. ``str()`` on a Fraction emits exactly this grammar, so no separate
 formatter is needed.
+
+``_scaled`` writes a sequence of rationals as integers over one common
+denominator, for matrix products, row reduction and rational roots alike.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import index
+from typing import Sequence
 
 Rational = Fraction
 
@@ -33,6 +39,24 @@ def _coerce(value) -> Fraction:
     if isinstance(value, (float, bool)):
         raise TypeError(f"{value!r} is a {type(value).__name__}, not an exact rational")
     return Fraction(value)
+
+
+def _count(value) -> int:
+    """``value`` as an int count (a multiplicity, height or block size).
+
+    Bools raise TypeError, as they do in ``_coerce``; anything else goes to
+    ``operator.index``, so floats and strings raise TypeError too.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not a count")
+    return index(value)
+
+
+def _scaled(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``v`` over the lcm of its denominators."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def parse_rational(text: str) -> Fraction:

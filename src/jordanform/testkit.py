@@ -14,12 +14,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
 from .jordan import ExpMatrix, _series_to_poly_matrix, jordan_form
 from .matrices import Mat, block_diag, jordan_block, solve_right
 from .nilpotent import NotNilpotent
-from .rationals import _coerce
+from .rationals import _coerce, _count
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class BlockSpec:
         items = self.pairs.items() if isinstance(self.pairs, dict) else self.pairs
         normalized = tuple(
             sorted(
-                (_coerce(v), tuple(sorted(map(index, sizes), reverse=True)))
+                (_coerce(v), tuple(sorted(map(_count, sizes), reverse=True)))
                 for v, sizes in items
             )
         )

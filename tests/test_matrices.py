@@ -197,6 +197,10 @@ class TestSolveRight:
         with pytest.raises(NoSolution):
             solve_right(b, c)
 
+    def test_row_counts_must_match(self):
+        with pytest.raises(ValueError):
+            solve_right(Mat.identity(2), Mat.identity(3))
+
     def test_rank_deficient(self):
         b = Mat.from_columns([unit(3, 0), unit(3, 0)])
         with pytest.raises(RankDeficient):

@@ -93,11 +93,14 @@ def test_floats_and_bools_are_refused():
 
 
 def test_counts_must_be_integers():
-    # int() would truncate a multiplicity of 2.7 to 2 and read a height "1" as 1.
-    for count in (2.7, 1.5, "1"):
+    # int() would truncate a multiplicity of 2.7 to 2 and read a height "1" as 1;
+    # operator.index() alone would read True as 1.
+    for count in (2.7, 1.5, "1", True):
         with pytest.raises(TypeError):
             Spectrum(((1, count),))
         with pytest.raises(TypeError):
             CyclicDecomposition(chains=(((1,), count),))
         with pytest.raises(TypeError):
             BlockSpec(pairs=((1, (count,)),))
+        with pytest.raises(TypeError):
+            generalized_eigenspace(Mat([[2, 1], [0, 2]]), 2, count)
